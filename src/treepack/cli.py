@@ -92,9 +92,19 @@ def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
 def _load_packing(path_: str, host: Graph, validate: bool) -> TreePacking:
     with open(path_, "r", encoding="utf-8") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict) or not isinstance(record.get("trees"), list):
+        raise ParseError(f"{path_}: packing needs a \"trees\" list")
     trees = []
-    for raw in record["trees"]:
-        edges = sort_edges((int(a), int(b)) for a, b in raw)
+    for idx, raw in enumerate(record["trees"]):
+        if not isinstance(raw, list):
+            raise ParseError(f"{path_}: tree {idx} is not a list of edges")
+        for e in raw:
+            if type(e) is not list or len(e) != 2:
+                raise ParseError(f"{path_}: tree {idx} entry {e!r} is not a [u, v] pair")
+            if type(e[0]) is not int or type(e[1]) is not int:
+                raise ParseError(
+                    f"{path_}: tree {idx} edge {e!r} has a non-integer vertex")
+        edges = sort_edges(raw)
         if validate:
             trees.append(EdgeSet.of(host, edges))
         else:
@@ -142,10 +152,17 @@ def _factor_packings(args: argparse.Namespace, g: Graph,
     if len(overrides) > 2:
         raise InputError("--factor-packing may be given at most twice (G then H)")
     pg = (_load_packing(overrides[0], g, validate=True)
-          if len(overrides) >= 1 else max_packing(g).packing)
+          if len(overrides) >= 1 else _oracle_packing(g))
     ph = (_load_packing(overrides[1], h, validate=True)
-          if len(overrides) >= 2 else max_packing(h).packing)
+          if len(overrides) >= 2 else _oracle_packing(h))
     return pg, ph
+
+
+def _oracle_packing(g: Graph) -> TreePacking:
+    """The oracle's packing, or the single empty tree of a one-vertex graph."""
+    if g.n == 1:
+        return TreePacking(g, (EdgeSet(g, ()),))
+    return max_packing(g).packing
 
 
 def cmd_pack(args: argparse.Namespace) -> int:

@@ -1,13 +1,16 @@
 """Exact spanning-tree packing via matroid union, with optimality certificates.
 
-The packer grows k edge-disjoint forests one level at a time.  Inside a level
-every unused edge gets one augmentation attempt: a breadth-first search over
-exchange moves (replace a forest edge by another edge whose endpoints that
-forest connects) that either finds a forest with room or proves none exists.
-Rejection is final within a level because the union of graphic matroids is a
-matroid.  The level that fails yields the dual witness: endpoints of all edges
-touched by the failed searches clump into blocks whose contraction certifies
-the bound.
+The packer grows k edge-disjoint forests one level at a time.  Each forest is
+rooted (parent and depth arrays), so the path joining two vertices is walked
+up from both ends in O(path length).  Inside a level every unused edge gets
+at most one augmentation attempt: a breadth-first search over exchange moves
+(replace a forest edge by another edge whose endpoints that forest connects)
+that either finds a forest with room or proves none exists.  A failed search
+merges the endpoints of every edge it labelled into one clump (Roskind and
+Tarjan, 1985); a clump is connected inside every forest and no later
+augmentation touches its edges, so an edge with both endpoints in one clump
+is rejected without a search.  The clumps of the level that fails are the
+Tutte/Nash-Williams partition certifying the bound.
 """
 
 from __future__ import annotations
@@ -48,42 +51,66 @@ def edge_bound(g: Graph) -> int:
     return g.m // (g.n - 1)
 
 
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 class _ForestFamily:
-    """Mutable family of edge-disjoint forests with exchange-path search."""
+    """Mutable family of edge-disjoint rooted forests with exchange-path search."""
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[dict[int, set[int]]] = []
+        self.adj: list[list[set[int]]] = []
+        self.parent: list[list[int]] = []   # -1 marks a root
+        self.depth: list[list[int]] = []
         self.sizes: list[int] = []
         self.owner: dict[Edge, int] = {}
 
     def add_forest(self) -> None:
-        self.adj.append({v: set() for v in range(self.n)})
+        self.adj.append([set() for _ in range(self.n)])
+        self.parent.append([-1] * self.n)
+        self.depth.append([0] * self.n)
         self.sizes.append(0)
 
     def path_in(self, i: int, a: int, b: int) -> list[Edge] | None:
         """Edges of the a-b path in forest i, or None if a,b are separated."""
-        nbr = self.adj[i]
-        parent: dict[int, int] = {a: a}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            if v == b:
-                break
-            for w in sorted(nbr[v]):
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        if b not in parent:
-            return None
-        path = []
-        v = b
-        while v != a:
-            u = parent[v]
-            path.append((u, v) if u < v else (v, u))
-            v = u
-        path.reverse()
-        return path
+        parent, depth = self.parent[i], self.depth[i]
+        up: list[Edge] = []
+        down: list[Edge] = []
+        while depth[a] > depth[b]:
+            p = parent[a]
+            up.append((a, p) if a < p else (p, a))
+            a = p
+        while depth[b] > depth[a]:
+            p = parent[b]
+            down.append((b, p) if b < p else (p, b))
+            b = p
+        while a != b:
+            p, q = parent[a], parent[b]
+            if p < 0:
+                return None
+            up.append((a, p) if a < p else (p, a))
+            down.append((b, q) if b < q else (q, b))
+            a, b = p, q
+        down.reverse()
+        return up + down
+
+    def _hang(self, i: int, v: int, p: int) -> None:
+        """Re-root v's tree in forest i at v, below p (or as a root if p < 0)."""
+        adj, parent, depth = self.adj[i], self.parent[i], self.depth[i]
+        parent[v] = p
+        depth[v] = depth[p] + 1 if p >= 0 else 0
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y != parent[x]:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
 
     def insert(self, e: Edge, i: int) -> None:
         a, b = e
@@ -91,6 +118,7 @@ class _ForestFamily:
             raise ConstructionError(f"internal: inserting {e} closes a cycle")
         self.adj[i][a].add(b)
         self.adj[i][b].add(a)
+        self._hang(i, a, b)
         self.owner[e] = i
         self.sizes[i] += 1
 
@@ -100,6 +128,7 @@ class _ForestFamily:
         a, b = e
         self.adj[i][a].discard(b)
         self.adj[i][b].discard(a)
+        self._hang(i, b if self.parent[i][b] == a else a, -1)
         del self.owner[e]
         self.sizes[i] -= 1
 
@@ -126,16 +155,13 @@ class _ForestFamily:
                         queue.append(g)
         return None, -1, label
 
-    def augment(self, e0: Edge) -> bool:
-        """Try to add an unused edge, rearranging forests along a found chain."""
-        f, i, label = self.search(e0)
-        if f is None:
-            return False
+    def augment(self, f: Edge, i: int, label: dict[Edge, Label | None]) -> None:
+        """Move edges along the chain a successful search found, ending at f."""
         while True:
             lab = label[f]
             if lab is None:
                 self.insert(f, i)
-                return True
+                return
             pred, j = lab
             self.remove(f, j)
             self.insert(f, i)
@@ -163,47 +189,38 @@ def max_packing(g: Graph) -> OracleResult:
     witness: TreePacking | None = None
     while True:
         family.add_forest()
+        clump = list(range(g.n))
         for e in g.edges:
-            if e not in family.owner:
-                family.augment(e)
+            if e in family.owner or _find(clump, e[0]) == _find(clump, e[1]):
+                continue
+            f, i, label = family.search(e)
+            if f is not None:
+                family.augment(f, i, label)
+                continue
+            for a, b in label:
+                ra, rb = _find(clump, a), _find(clump, b)
+                if ra != rb:
+                    clump[ra] = rb
         if not family.complete():
             break
         sigma = len(family.adj)
         witness = family.snapshot(g)
-    certificate = _terminal_certificate(g, family, sigma)
+    certificate = _terminal_certificate(g, clump, sigma)
     if witness is None:
         raise ConstructionError("internal: no packing found for a connected graph")
     return OracleResult(sigma, witness, certificate)
 
 
-def _terminal_certificate(g: Graph, family: _ForestFamily,
+def _terminal_certificate(g: Graph, clump: list[int],
                           sigma: int) -> TutteCertificate:
-    """Certificate from the failed level's search labels.
+    """Certificate from the clumps of the failed level.
 
-    Endpoints of every edge a failed search touches are clumped together;
-    inside a clump each forest of the failed level restricts to a spanning
+    Inside a clump each forest of the failed level restricts to a spanning
     tree, so crossing edges are too few for one more tree.
     """
-    unused = [e for e in g.edges if e not in family.owner]
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in unused:
-        terminal, _, label = family.search(e)
-        if terminal is not None:
-            raise ConstructionError("internal: augmentation pass missed an edge")
-        for a, b in label:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
     blocks: dict[int, list[int]] = {}
     for v in range(g.n):
-        blocks.setdefault(find(v), []).append(v)
+        blocks.setdefault(_find(clump, v), []).append(v)
     partition = tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
     p = len(partition)
     if p < 2:

@@ -60,6 +60,12 @@ def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
                         stray[0] if stray else None))
     checks.append(Check(f"{tag}: edge count is n-1", len(t) == n - 1,
                         f"{len(t)} != {n - 1}" if len(t) != n - 1 else None))
+    # Host edges are in range, so only stray edges can break the union-find.
+    outside = next((e for e in stray if not all(0 <= v < n for v in e)), None)
+    if outside is not None:
+        checks.append(Check(f"{tag}: vertices in range 0..n-1", False,
+                            f"edge {outside} has a vertex outside 0..{n - 1}"))
+        return checks
 
     parent = list(range(n))
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,48 @@ def test_pack_and_verify_round_trip(capsys, tmp_path):
     assert out.startswith("FAIL")
 
 
+def test_verify_out_of_range_vertex_fails(capsys, tmp_path):
+    k4 = tmp_path / "k4.txt"
+    run(capsys, "gen", "complete", "4", "--out", str(k4))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"trees": [[[0, 1], [2, 9], [0, 3]]]}))
+    code, out, _ = run(capsys, "verify", str(k4), str(bad), "--format", "json")
+    assert code == 1
+    record = json.loads(out)
+    assert record["overall"] is False
+    assert any("(2, 9)" in (c["witness"] or "") for c in record["checks"])
+
+
+@pytest.mark.parametrize("record, problem", [
+    ({"method": "user"}, "trees"),
+    ({"trees": [[[0, 1, 2]]]}, "pair"),
+    ({"trees": [[[0, "a"]]]}, "non-integer"),
+])
+def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem):
+    k4 = tmp_path / "k4.txt"
+    run(capsys, "gen", "complete", "4", "--out", str(k4))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    code, _, err = run(capsys, "verify", str(k4), str(bad))
+    assert code == 2
+    assert "error:" in err and problem in err
+
+
+def test_pack_one_vertex_factor(capsys, tmp_path):
+    k1 = tmp_path / "k1.txt"
+    k4 = tmp_path / "k4.txt"
+    run(capsys, "gen", "path", "1", "--out", str(k1))
+    run(capsys, "gen", "complete", "4", "--out", str(k4))
+    for pair in ((k1, k4), (k4, k1)):
+        code, out, _ = run(capsys, "pack", "cartesian", *map(str, pair),
+                           "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert len(record["trees"]) == 2 and record["verified"] is True
+    code, _, err = run(capsys, "pack", "lex", str(k1), str(k4))
+    assert code == 2 and "error:" in err
+
+
 def test_pack_cartesian_text_summary(capsys, tmp_path):
     k4 = tmp_path / "k4.txt"
     run(capsys, "gen", "complete", "4", "--out", str(k4))
@@ -122,6 +165,17 @@ def test_oracle_text_and_json(capsys, tmp_path):
     assert record["sigma"] == 2
     assert record["certificate"]["bound"] == 2
     assert len(record["packing"]["trees"]) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["k6", "q4", "k4xc6", "rand12"])
+def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "oracle", f"{name}.graph", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.oracle.json").read_text()
 
 
 def test_oracle_rejects_disconnected(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepack.core import (Graph, InputError, SizeError, complete,
                            complete_minus_edge, complete_multipartite, cycle,
@@ -40,6 +42,10 @@ def test_max_packing_known_values():
         (hypercube(4), 2),
         (complete_minus_edge(4), 1),
         (cartesian(complete(4), cycle(3)).graph, 2),
+        (complete(24), 12),
+        (complete(30), 15),
+        (hypercube(7), 3),
+        (cartesian(complete(6), cycle(20)).graph, 3),
     ]
     for g, want in cases:
         result = max_packing(g)
@@ -135,3 +141,24 @@ def test_oracle_deterministic():
     b = max_packing(g)
     assert [t.edges for t in a.packing.trees] == [t.edges for t in b.packing.trees]
     assert a.certificate == b.certificate
+
+
+@st.composite
+def connected_graphs(draw) -> Graph:
+    n = draw(st.integers(2, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_oracle_certificate_and_packing_property(g):
+    result = max_packing(g)
+    assert result.sigma == tutte_bruteforce(g).bound
+    cert = result.certificate
+    block_of = {v: i for i, b in enumerate(cert.partition) for v in b}
+    crossing = sum(1 for a, b in g.edges if block_of[a] != block_of[b])
+    assert crossing // (len(cert.partition) - 1) == result.sigma
+    assert verify_packing(g, result.packing).overall

@@ -48,6 +48,17 @@ def test_verify_tree_flags_foreign_edges():
     assert not member.passed and member.witness == (0, 2)
 
 
+@pytest.mark.parametrize("bad", [(2, 9), (-1, 2)])
+def test_verify_flags_out_of_range_vertices(bad):
+    k4 = complete(4)
+    tree = EdgeSet(k4, ((0, 1), bad))
+    for report in (verify_tree(k4, tree),
+                   verify_packing(k4, TreePacking(k4, (tree,)))):
+        assert not report.overall
+        rng = [c for c in report.checks if "range" in c.name][0]
+        assert not rng.passed and str(bad) in rng.witness
+
+
 def test_verify_packing_accepts_oracle_output():
     g = complete(4)
     result = max_packing(g)
