@@ -51,7 +51,7 @@ def normalize_edge(a: int, b: int) -> Edge:
 
 
 def sort_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(normalize_edge(a, b) for a, b in edges))
+    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
 
 
 def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
@@ -153,12 +153,15 @@ class EdgeSet:
     @classmethod
     def of(cls, host: Graph, edges: Iterable[Edge]) -> "EdgeSet":
         ordered = sort_edges(edges)
-        for e, f in zip(ordered, ordered[1:]):
-            if e == f:
-                raise ContractError(f"duplicate member edge {e}")
-        for e in ordered:
-            if e not in host.edge_set:
-                raise ContractError(f"edge {e} is not an edge of the host graph")
+        members = set(ordered)
+        if len(members) != len(ordered) or not host.edge_set.issuperset(members):
+            # name the first offender in sorted order
+            for e, f in zip(ordered, ordered[1:]):
+                if e == f:
+                    raise ContractError(f"duplicate member edge {e}")
+            for e in ordered:
+                if e not in host.edge_set:
+                    raise ContractError(f"edge {e} is not an edge of the host graph")
         return cls(host, ordered)
 
     def __len__(self) -> int:
@@ -327,16 +330,38 @@ def write_graph(g: Graph, header_comments: Sequence[str] = ()) -> str:
 
 
 def read_graph(text: str) -> Graph:
+    """Parse edge-list text; each line is checked once, as it is read."""
     n = None
     m = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        if parts[0] == "e":
+            if n is None:
+                raise ParseError(f"line {lineno}: 'e' line before 'p' line")
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'e <a> <b>'")
+            try:
+                e = a, b = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer endpoint") from None
+            if 0 <= a < b < n and e not in seen:
+                seen.add(e)
+                edges.append(e)
+                continue
+            if a == b:
+                problem = f"self-loop 'e {a} {b}' not allowed"
+            elif not a < b:
+                problem = "endpoints must satisfy a < b"
+            elif a < 0 or b >= n:
+                problem = f"endpoint {b if b >= n else a} out of range for n={n}"
+            else:
+                problem = f"duplicate edge ({a},{b})"
+            raise ParseError(f"line {lineno}: {problem}")
+        elif parts[0] == "p":
             if n is not None:
                 raise ParseError(f"line {lineno}: second 'p' line")
             if len(parts) != 3:
@@ -347,29 +372,10 @@ def read_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer in 'p' line") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative count in 'p' line")
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: 'e' line before 'p' line")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e <a> <b>'")
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer endpoint") from None
-            if a == b:
-                raise ParseError(f"line {lineno}: self-loop 'e {a} {b}' not allowed")
-            if not a < b:
-                raise ParseError(f"line {lineno}: endpoints must satisfy a < b")
-            if b >= n:
-                raise ParseError(f"line {lineno}: endpoint {b} out of range for n={n}")
-            if (a, b) in seen:
-                raise ParseError(f"line {lineno}: duplicate edge ({a},{b})")
-            seen.add((a, b))
-            edges.append((a, b))
         else:
-            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+            raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise ParseError("missing 'p <n> <m>' line")
     if len(edges) != m:
         raise ParseError(f"'p' line promises {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(sorted(edges)))

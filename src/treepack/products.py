@@ -132,8 +132,9 @@ def cartesian(g: Graph, h: Graph) -> ProductGraph:
         edges.extend((base + a, base + b) for a, b in h.edges)
     for a, b in g.edges:
         edges.extend((a * n2 + v, b * n2 + v) for v in range(n2))
-    graph = Graph.from_edges(g.n * h.n, edges)
-    return ProductGraph(CARTESIAN, graph, g, h)
+    # (min, max) pairs of validated factors, unique by construction: no
+    # re-validation through Graph.from_edges
+    return ProductGraph(CARTESIAN, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
 
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
@@ -146,8 +147,8 @@ def lexicographic(g: Graph, h: Graph) -> ProductGraph:
         edges.extend((base + a, base + b) for a, b in h.edges)
     for a, b in g.edges:
         edges.extend((a * n2 + x, b * n2 + y) for x in range(n2) for y in range(n2))
-    graph = Graph.from_edges(g.n * h.n, edges)
-    return ProductGraph(LEXICOGRAPHIC, graph, g, h)
+    # unique (min, max) pairs, as in cartesian()
+    return ProductGraph(LEXICOGRAPHIC, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
 
 
 def write_product(p: ProductGraph, header_comments: Sequence[str] = ()) -> str:

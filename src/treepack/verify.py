@@ -55,7 +55,8 @@ class VerificationReport:
 def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
     n = host.n
     checks = []
-    stray = [e for e in t if e not in host.edge_set]
+    stray = ([] if host.edge_set.issuperset(t.edges)
+             else [e for e in t if e not in host.edge_set])
     checks.append(Check(f"{tag}: edges belong to host", not stray,
                         stray[0] if stray else None))
     checks.append(Check(f"{tag}: edge count is n-1", len(t) == n - 1,
@@ -67,17 +68,15 @@ def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
                             f"edge {outside} has a vertex outside 0..{n - 1}"))
         return checks
 
+    # union-find with path halving, inlined: this loop sees every edge
     parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     cycle_edge = None
     for a, b in t:
-        ra, rb = find(a), find(b)
+        ra, rb = a, b
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
         if ra == rb:
             cycle_edge = (a, b)
             break
@@ -85,8 +84,15 @@ def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
     checks.append(Check(f"{tag}: acyclic", cycle_edge is None,
                         f"edge {cycle_edge} closes a cycle" if cycle_edge else None))
 
-    root = find(0) if n else 0
-    separated = next((v for v in range(n) if find(v) != root), None)
+    # n-1 edges that close no cycle join all n vertices: nothing to scan
+    separated = None
+    if n and (cycle_edge is not None or len(t) != n - 1):
+        def find(v: int) -> int:
+            while parent[v] != v:
+                v = parent[v]
+            return v
+        root = find(0)
+        separated = next((v for v in range(n) if find(v) != root), None)
     checks.append(Check(f"{tag}: spans and connects all vertices",
                         separated is None,
                         f"vertex {separated} separated from vertex 0"
@@ -105,16 +111,18 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     checks: list[Check] = []
     for idx, t in enumerate(packing.trees):
         checks.extend(_tree_checks(host, t, f"tree {idx}"))
-    seen: dict[Edge, int] = {}
     clash = None
-    for idx, t in enumerate(packing.trees):
-        for e in t:
-            if e in seen:
-                clash = (e, seen[e], idx)
+    edges = [t.edges for t in packing.trees]
+    if len(set().union(*edges)) != sum(map(len, edges)):
+        seen: dict[Edge, int] = {}
+        for idx, t in enumerate(edges):  # name the first shared edge
+            for e in t:
+                if e in seen:
+                    clash = (e, seen[e], idx)
+                    break
+                seen[e] = idx
+            if clash:
                 break
-            seen[e] = idx
-        if clash:
-            break
     checks.append(Check(
         "trees pairwise edge-disjoint", clash is None,
         f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None))

@@ -178,6 +178,29 @@ def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
     assert out == (GOLDEN / f"{name}.oracle.json").read_text()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("k4xc6", ["cartesian", "k4.graph", "c6.graph",
+               "--factor-packing", "k4.factor.json",
+               "--factor-packing", "c6.factor.json"]),
+    ("p3lexk4", ["lex", "p3.graph", "k4.graph",
+                 "--factor-packing", "p3.factor.json",
+                 "--factor-packing", "k4.factor.json"]),
+])
+def test_pack_and_verify_match_pinned_output(capsys, monkeypatch, tmp_path,
+                                             name, argv):
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / f"{name}.pack.json"
+    code, stdout, _ = run(capsys, "pack", *argv, "--out", str(out))
+    assert code == 0 and stdout == ""
+    for suffix in ("", ".graph"):
+        pinned = GOLDEN / f"{name}.pack.json{suffix}"
+        assert Path(f"{out}{suffix}").read_bytes() == pinned.read_bytes()
+    code, stdout, _ = run(capsys, "verify", f"{name}.pack.json.graph",
+                          f"{name}.pack.json", "--format", "json")
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.verify.json").read_text()
+
+
 def test_oracle_rejects_disconnected(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 4 2\ne 0 1\ne 2 3\n")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepack.core import (EdgeSet, FamilySpec, Graph, ParameterError,
                            ParseError, check_packing, complete,
@@ -84,7 +86,8 @@ def test_read_graph_errors_carry_line_numbers():
         ("p 3 1\ne 1 1\n", "line 2"),          # self-loop
         ("p 3 1\ne 2 1\n", "a < b"),           # unordered endpoints
         ("p 3 1\ne 0 5\n", "out of range"),
-        ("p 3 2\ne 0 1\ne 0 1\n", "duplicate"),
+        ("p 4 1\ne -1 3\n", "line 2: endpoint -1 out of range"),
+        ("p 3 2\ne 0 1\ne 0 1\n", "line 3: duplicate"),
         ("p 3 2\ne 0 1\n", "promises 2"),
         ("e 0 1\n", "before 'p'"),
         ("p 3 x\n", "non-integer"),
@@ -96,6 +99,32 @@ def test_read_graph_errors_carry_line_numbers():
         with pytest.raises(ParseError) as exc:
             read_graph(text)
         assert needle in str(exc.value)
+
+
+_TOKENS = ["p", "e", "#", "0", "1", "3", "-1", "-2", "4", "99", "x", "1.5",
+           "\u0663", "", "e 0 2", "p 4 3", "\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),
+                          st.sampled_from(_TOKENS)), max_size=6))
+def test_read_graph_fuzz_raises_only_parse_error(edits):
+    """Mutated edge-list text either parses to a valid graph or raises ParseError.
+
+    Each edit puts a token in place of token j of line i (appends past the
+    end; the empty token deletes).
+    """
+    lines = [line.split() for line in
+             write_graph(cycle(4), ["fuzz"]).splitlines()]
+    for i, j, token in edits:
+        words = lines[i % len(lines)]
+        words[j:j + 1] = [token] if token else []
+    text = "\n".join(" ".join(words) for words in lines) + "\n"
+    try:
+        g = read_graph(text)
+    except ParseError:
+        return
+    assert Graph.from_edges(g.n, g.edges) == g
 
 
 def test_read_graph_skips_comments_and_blanks():

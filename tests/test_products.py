@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepack.core import Graph, InputError, ParseError, complete, cycle, path
+from treepack.core import (Graph, InputError, ParseError, complete, cycle, path,
+                           read_graph, write_graph)
 from treepack.products import (Bundle, ProductGraph, cartesian, lexicographic,
                                read_product, write_product,
                                UnsupportedOperationError)
@@ -134,3 +137,27 @@ def _random_connected(rng: random.Random, n: int) -> Graph:
     rng.shuffle(others)
     edges.update(others[:rng.randint(0, len(others))])
     return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def small_connected(draw) -> Graph:
+    n = draw(st.integers(1, 7))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_connected(), small_connected())
+def test_products_match_validated_construction(g, h):
+    """The products skip Graph.from_edges; it must agree on their edge lists."""
+    n2 = h.n
+    fibers = [(u * n2 + a, u * n2 + b) for u in range(g.n) for a, b in h.edges]
+    rungs = [(a * n2 + v, b * n2 + v) for a, b in g.edges for v in range(n2)]
+    bundles = [(a * n2 + x, b * n2 + y) for a, b in g.edges
+               for x in range(n2) for y in range(n2)]
+    assert cartesian(g, h).graph == Graph.from_edges(g.n * n2, fibers + rungs)
+    assert lexicographic(g, h).graph == Graph.from_edges(g.n * n2, fibers + bundles)
+    for graph in (g, h, cartesian(g, h).graph):
+        assert read_graph(write_graph(graph)) == graph

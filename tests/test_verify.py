@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from treepack.cartesian import pack_cartesian
 from treepack.core import (EdgeSet, SizeError, TreePacking, complete, cycle,
                            path)
+from treepack.lex import pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import (proposition_graph, proposition_value,
@@ -101,6 +106,67 @@ def test_verify_packing_mutations_fail():
 
 def _mk(g, edge_lists):
     return TreePacking(g, tuple(EdgeSet(g, tuple(sorted(e))) for e in edge_lists))
+
+
+def _valid_packing(name):
+    if name == "k4xc4":
+        g, h = complete(4), cycle(4)
+        return pack_cartesian(g, h, max_packing(g).packing, max_packing(h).packing)
+    if name == "p3lexk4":
+        g, h = path(3), complete(4)
+        return pack_lex(g, h, max_packing(g).packing, max_packing(h).packing)
+    return max_packing(complete(6)).packing
+
+
+def _drop(host, trees):
+    trees[0].pop()
+    return "tree 0: edge count is n-1"
+
+
+def _swap_for_non_host(host, trees):
+    n = host.n
+    # K6 has no missing pair, so a self-loop stands in as its non-host edge
+    trees[0][0] = next(((a, b) for a in range(n) for b in range(a + 1, n)
+                        if (a, b) not in host.edge_set), (0, 0))
+    return "tree 0: edges belong to host"
+
+
+def _add_out_of_range(host, trees):
+    trees[0].append((0, host.n))
+    return "tree 0: vertices in range 0..n-1"
+
+
+def _copy_into_second_tree(host, trees):
+    trees[1].append(trees[0][0])
+    return "trees pairwise edge-disjoint"
+
+
+def _add_chord(host, trees):
+    trees[0].append(next(e for e in host.edges if e not in trees[0]))
+    return "tree 0: acyclic"
+
+
+@pytest.mark.parametrize("mutate", [_drop, _swap_for_non_host, _add_out_of_range,
+                                    _copy_into_second_tree, _add_chord])
+@pytest.mark.parametrize("name", ["k4xc4", "p3lexk4", "k6"])
+def test_verify_packing_single_mutation_fails_with_witness(name, mutate):
+    packing = _valid_packing(name)
+    host = packing.host
+    trees = [list(t.edges) for t in packing.trees]
+    expected = mutate(host, trees)
+    report = verify_packing(host, _mk(host, trees))
+    assert not report.overall
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert expected in failed
+    assert all(c.witness is not None for c in failed.values())
+
+
+@pytest.mark.parametrize("name", ["k4xc4", "p3lexk4", "k6"])
+def test_verify_packing_record_matches_pinned(name):
+    packing = _valid_packing(name)
+    pinned = json.loads(
+        (Path(__file__).parent / "golden" / "verify_records.json").read_text())
+    assert verify_packing(packing.host, packing).to_record() == pinned[name]
 
 
 def test_proposition_values():
