@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (ConstructionError, ContractError, Edge, EdgeSet, Graph,
-                   InputError, TreePacking, check_packing, normalize_edge)
+                   InputError, TreePacking, normalize_edge)
 from .decomp import LeafSplit, RootedTree, leaf_split, root_tree
 from .products import CARTESIAN, ProductGraph, cartesian
-from .verify import verify_packing, verify_tree
+from .verify import check_packing, verify_packing
 
 KEEPS_SUBTREE = "keeps_subtree"
 KEEPS_FOREST = "keeps_forest"
@@ -91,16 +91,6 @@ def plan_cross_edges(tk: RootedTree, split: LeafSplit,
     return CrossEdgePlan(tuple(entries))
 
 
-def _fiber_copy(n2: int, edges: EdgeSet | tuple[Edge, ...], u: int) -> list[Edge]:
-    base = u * n2
-    return [(base + a, base + b) for a, b in edges]
-
-
-def _cross_section_copies(product: ProductGraph, edges: EdgeSet) -> list[Edge]:
-    n2 = product.n2
-    return [(a * n2 + v, b * n2 + v) for v in range(n2) for a, b in edges]
-
-
 def build_hat_tree(product: ProductGraph, tk: RootedTree, t_ell: EdgeSet,
                    split: LeafSplit, assignment: dict[int, str],
                    plan: CrossEdgePlan) -> EdgeSet:
@@ -108,24 +98,20 @@ def build_hat_tree(product: ProductGraph, tk: RootedTree, t_ell: EdgeSet,
 
     Root fiber gets the whole second-factor tree; every other fiber gets its
     assigned half of the split; the plan's used rungs glue fibers together.
+    Its edges are (min, max) copies of checked factor trees, so it is not
+    re-validated here: ``pack_cartesian`` verifies the whole packing.
     """
     if product.kind != CARTESIAN:
         raise ContractError("expected a cartesian product")
     if split.source.edges != t_ell.edges:
         raise ContractError("split does not derive from the given tree")
-    n2 = product.n2
-    edges: list[Edge] = _fiber_copy(n2, t_ell, tk.root)
+    edges = product.fiber_copy(t_ell, tk.root)
     for fiber, kind in assignment.items():
         part = split.subtree if kind == KEEPS_SUBTREE else split.forest
-        edges.extend(_fiber_copy(n2, part, fiber))
+        edges.extend(product.fiber_copy(part, fiber))
     for entry in plan.entries:
         edges.extend(entry.used)
-    tree = EdgeSet.of(product.graph, edges)
-    report = verify_tree(product.graph, tree)
-    if not report.overall:
-        raise ConstructionError(
-            "internal: backbone tree invalid\n" + report.render())
-    return tree
+    return EdgeSet(product.graph, tuple(sorted(edges)))
 
 
 def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
@@ -142,7 +128,6 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     k = len(pack_g.trees)
     ell = len(pack_h.trees)
     product = cartesian(g, h)
-    n2 = product.n2
 
     tk = root_tree(pack_g.trees[-1], 0)
     t_ell = pack_h.trees[-1]
@@ -163,18 +148,20 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
             f"not enough leftover rungs: need {ell - 1} per bundle, "
             f"have {plan.min_leftover()}")
 
+    # (min, max) copies of checked factor trees: the verify_packing below
+    # is their only check
     trees: list[EdgeSet] = []
     for i in range(k - 1):
-        edges = _cross_section_copies(product, pack_g.trees[i])
-        edges.extend(_fiber_copy(n2, split.subtree, free_subtree[i]))
-        edges.extend(_fiber_copy(n2, split.forest, free_forest[i]))
-        trees.append(EdgeSet.of(product.graph, edges))
+        edges = product.fiber_copy(split.subtree, free_subtree[i])
+        edges.extend(product.fiber_copy(split.forest, free_forest[i]))
+        for v in range(product.n2):
+            edges.extend(product.cross_section_copy(pack_g.trees[i], v))
+        trees.append(EdgeSet(product.graph, tuple(sorted(edges))))
     for j in range(ell - 1):
-        edges = []
+        edges = [entry.leftover[j] for entry in plan.entries]
         for u in range(product.n1):
-            edges.extend(_fiber_copy(n2, pack_h.trees[j], u))
-        edges.extend(entry.leftover[j] for entry in plan.entries)
-        trees.append(EdgeSet.of(product.graph, edges))
+            edges.extend(product.fiber_copy(pack_h.trees[j], u))
+        trees.append(EdgeSet(product.graph, tuple(sorted(edges))))
     trees.append(backbone)
 
     packing = TreePacking(product.graph, tuple(trees), "constructed-cartesian")

@@ -12,16 +12,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Sequence
 
-from .cartesian import cartesian_bound, pack_cartesian
+from .cartesian import pack_cartesian
+from .catalogue import TableRow, table_rows
 from .core import (ContractError, EdgeSet, FamilySpec, Graph, InputError,
                    ParameterError, ParseError, SizeError, TreePacking,
-                   UnsupportedOperationError, complete, complete_multipartite,
-                   cycle, generate, hypercube, path, read_graph, sort_edges,
+                   UnsupportedOperationError, generate, read_graph, sort_edges,
                    write_graph)
-from .lex import lex_bound, pack_lex
+from .lex import pack_lex
 from .oracle import max_packing
 from .products import (CARTESIAN, LEXICOGRAPHIC, ProductGraph, cartesian,
                        lexicographic, write_product)
@@ -50,13 +50,8 @@ class RunRecord:
     wall_time_s: float
 
     def emit(self) -> None:
-        record = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "verified": self.verified,
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
+        record = asdict(self)
+        record["wall_time_s"] = round(self.wall_time_s, 3)
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
@@ -89,7 +84,8 @@ def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
     }
 
 
-def _load_packing(path_: str, host: Graph, validate: bool) -> TreePacking:
+def _load_packing(path_: str, host: Graph) -> TreePacking:
+    """Check a packing file's shape only: ``pack_*`` and ``verify`` check its trees."""
     with open(path_, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     if not isinstance(record, dict) or not isinstance(record.get("trees"), list):
@@ -104,8 +100,7 @@ def _load_packing(path_: str, host: Graph, validate: bool) -> TreePacking:
             if type(e[0]) is not int or type(e[1]) is not int:
                 raise ParseError(
                     f"{path_}: tree {idx} edge {e!r} has a non-integer vertex")
-        trees.append(EdgeSet.of(host, raw) if validate
-                     else EdgeSet(host, sort_edges(raw)))
+        trees.append(EdgeSet(host, sort_edges(raw)))
     return TreePacking(host, tuple(trees), str(record.get("method", "user")))
 
 
@@ -148,9 +143,9 @@ def _factor_packings(args: argparse.Namespace, g: Graph,
     overrides = args.factor_packing or []
     if len(overrides) > 2:
         raise InputError("--factor-packing may be given at most twice (G then H)")
-    pg = (_load_packing(overrides[0], g, validate=True)
+    pg = (_load_packing(overrides[0], g)
           if len(overrides) >= 1 else _oracle_packing(g))
-    ph = (_load_packing(overrides[1], h, validate=True)
+    ph = (_load_packing(overrides[1], h)
           if len(overrides) >= 2 else _oracle_packing(h))
     return pg, ph
 
@@ -168,11 +163,11 @@ def cmd_pack(args: argparse.Namespace) -> int:
     pg, ph = _factor_packings(args, g, h)
     if args.kind == CARTESIAN:
         packed = pack_cartesian(g, h, pg, ph)
-        bound = cartesian_bound(len(pg.trees), len(ph.trees))
     else:
         packed = pack_lex(g, h, pg, ph)
-        bound = lex_bound(len(pg.trees), len(ph.trees), g.n, h.n)[1]
-    # pack_* ends in verify_packing and raises ConstructionError on a FAIL
+    # pack_* checks that it built exactly cartesian_bound / lex_bound trees
+    # and ends in verify_packing; either failure raises ConstructionError
+    bound = len(packed.trees)
     verified = True
     graph_ref = "-"
     if args.out:
@@ -229,7 +224,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph_file(args.graphfile)
-    packing = _load_packing(args.packingfile, g, validate=False)
+    packing = _load_packing(args.packingfile, g)
     report = verify_packing(g, packing)
     if args.format == "text":
         sys.stdout.write(report.render() + "\n")
@@ -241,55 +236,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    kind: str | None          # cartesian | lex | None (plain graph)
-    make_g: Callable[[], Graph]
-    make_h: Callable[[], Graph] | None
-    closed: int | None        # catalogued exact value, if any
-    expect_tight: bool | None  # None: no expectation enforced
-
-
-def _table_rows() -> list[TableRow]:
-    return [
-        TableRow("P3 x P3", CARTESIAN, lambda: path(3), lambda: path(3), 1, True),
-        TableRow("P4 x P4", CARTESIAN, lambda: path(4), lambda: path(4), 1, True),
-        TableRow("P5 x P5", CARTESIAN, lambda: path(5), lambda: path(5), 1, True),
-        TableRow("K4 x C3", CARTESIAN, lambda: complete(4), lambda: cycle(3), 2, True),
-        TableRow("K4 x C4", CARTESIAN, lambda: complete(4), lambda: cycle(4), 2, True),
-        TableRow("K4 x C5", CARTESIAN, lambda: complete(4), lambda: cycle(5), 2, True),
-        TableRow("K5 x C4", CARTESIAN, lambda: complete(5), lambda: cycle(4), 3, False),
-        TableRow("K4 x K4", CARTESIAN, lambda: complete(4), lambda: complete(4), 3, True),
-        TableRow("K4 x K6", CARTESIAN, lambda: complete(4), lambda: complete(6), 4, True),
-        TableRow("Q3 x P2", CARTESIAN, lambda: hypercube(3), lambda: path(2), 2, False),
-        TableRow("Q4 x P2", CARTESIAN, lambda: hypercube(4), lambda: path(2), 2, True),
-        TableRow("K2(2) x K3", CARTESIAN, lambda: complete_multipartite(2, 2),
-                 lambda: complete(3), 2, False),
-        TableRow("K3(2)", None, lambda: complete_multipartite(3, 2), None, 2, None),
-        TableRow("K2 o K2", LEXICOGRAPHIC, lambda: complete(2), lambda: complete(2),
-                 2, True),
-        TableRow("P3 o K4", LEXICOGRAPHIC, lambda: path(3), lambda: complete(4),
-                 4, True),
-        TableRow("K5 o P3", LEXICOGRAPHIC, lambda: complete(5), lambda: path(3),
-                 None, None),
-    ]
-
-
 def _run_table_row(row: TableRow) -> dict[str, Any]:
     if row.kind is None:
-        host = row.make_g()
+        host = row.g
         bound = None
         verified = None
     else:
-        g = row.make_g()
-        h = row.make_h()
-        pg = max_packing(g).packing
-        ph = max_packing(h).packing
+        pg = max_packing(row.g).packing
+        ph = max_packing(row.h).packing
         if row.kind == CARTESIAN:
-            packed = pack_cartesian(g, h, pg, ph)
+            packed = pack_cartesian(row.g, row.h, pg, ph)
         else:
-            packed = pack_lex(g, h, pg, ph)
+            packed = pack_lex(row.g, row.h, pg, ph)
         host = packed.host
         bound = len(packed.trees)
         verified = True  # pack_* verifies, as in cmd_pack
@@ -321,7 +279,7 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = [_run_table_row(r) for r in _table_rows()]
+    rows = [_run_table_row(r) for r in table_rows()]
     if args.format == "text":
         header = f"{'graph':<12} {'closed':>6} {'bound':>5} {'sigma':>5} {'verified':>8}  note"
         lines = [header, "-" * len(header)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -140,6 +140,10 @@ class Graph:
         return components(self.n, self.edges)
 
     def is_connected(self) -> bool:
+        # fewer than n-1 edges cannot connect n vertices: decide before
+        # components() allocates O(n)
+        if self.m < self.n - 1:
+            return False
         return self.n <= 1 or len(self.components()) == 1
 
 
@@ -203,31 +207,8 @@ class TreePacking:
         return len(self.trees)
 
 
-def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
-    """Raise ContractError unless the packing is valid for the given host."""
-    if packing.host.n != host.n or packing.host.edges != host.edges:
-        raise ContractError(f"{role}: packing host does not match the graph")
-    if len(packing.trees) < 1:
-        raise ContractError(f"{role}: packing must contain at least one tree")
-    used: dict[Edge, int] = {}
-    for idx, t in enumerate(packing.trees):
-        if not t.is_spanning_tree():
-            raise ContractError(f"{role}: tree {idx} is not a spanning tree")
-        for e in t:
-            if e not in host.edge_set:
-                raise ContractError(f"{role}: tree {idx} uses foreign edge {e}")
-            if e in used:
-                raise ContractError(
-                    f"{role}: trees {used[e]} and {idx} share edge {e}")
-            used[e] = idx
-
-
 # ---------------------------------------------------------------------------
 # standard families
-
-FAMILY_KINDS = ("path", "cycle", "complete", "complete_multipartite",
-                "hypercube", "complete_minus_edge")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -286,34 +267,28 @@ def complete_minus_edge(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# family kind -> (constructor, parameter count)
+FAMILIES: dict[str, tuple[Callable[..., Graph], int]] = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "complete_multipartite": (complete_multipartite, 2),
+    "hypercube": (hypercube, 1),
+    "complete_minus_edge": (complete_minus_edge, 1),
+}
+FAMILY_KINDS = tuple(FAMILIES)
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Instantiate a named family with canonical vertex numbering."""
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        _expect_params(spec, 1)
-        return path(params[0])
-    if kind == "cycle":
-        _expect_params(spec, 1)
-        return cycle(params[0])
-    if kind == "complete":
-        _expect_params(spec, 1)
-        return complete(params[0])
-    if kind == "complete_multipartite":
-        _expect_params(spec, 2)
-        return complete_multipartite(params[0], params[1])
-    if kind == "hypercube":
-        _expect_params(spec, 1)
-        return hypercube(params[0])
-    if kind == "complete_minus_edge":
-        _expect_params(spec, 1)
-        return complete_minus_edge(params[0])
-    raise ParameterError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-
-
-def _expect_params(spec: FamilySpec, count: int) -> None:
+    if spec.kind not in FAMILIES:
+        raise ParameterError(
+            f"unknown family kind {spec.kind!r}; expected one of {FAMILY_KINDS}")
+    make, count = FAMILIES[spec.kind]
     if len(spec.params) != count:
         raise ParameterError(
             f"{spec.kind} takes {count} parameter(s), got {len(spec.params)}")
+    return make(*spec.params)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Pieces: rooted spanning trees, the leaf split of a tree into a kept subtree
 and a deleted forest, cyclic-shift matchings of complete bipartite bundles
 (with consecutive shifts pairing into Hamiltonian cycles), parallel subgraphs
-of both products, and deterministic spanning-tree extraction.
+of the lexicographic product, and deterministic spanning-tree extraction.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (ContractError, Edge, EdgeSet, ExtractionError, Graph,
-                   InputError, components, normalize_edge)
-from .products import CARTESIAN, LEXICOGRAPHIC, ProductGraph
+                   InputError, normalize_edge)
+from .products import LEXICOGRAPHIC, ProductGraph
 
 
 @dataclass(frozen=True)
@@ -26,24 +26,17 @@ class RootedTree:
     parent: tuple[int, ...]   # parent[root] == root
     order: tuple[int, ...]    # breadth-first discovery order, order[0] == root
 
-    @property
-    def host(self) -> Graph:
-        return self.tree.host
-
     def edges_bfs(self) -> Iterator[tuple[int, int]]:
         """Tree edges as (parent, child), in child discovery order."""
         for v in self.order[1:]:
             yield self.parent[v], v
 
 
-def root_tree(tree: EdgeSet, root: int = 0) -> RootedTree:
-    n = tree.host.n
-    if not 0 <= root < n:
-        raise ContractError(f"root {root} out of range for n={n}")
-    if not tree.is_spanning_tree():
-        raise ContractError("input is not a spanning tree of its host")
+def _bfs(n: int, edges: EdgeSet, root: int) -> tuple[list[int], list[int]]:
+    """Parent pointers (-1: unreached) and discovery order of a breadth-first
+    search from root that scans neighbors in ascending order."""
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in tree:
+    for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     parent = [-1] * n
@@ -57,6 +50,16 @@ def root_tree(tree: EdgeSet, root: int = 0) -> RootedTree:
                 parent[w] = v
                 order.append(w)
                 queue.append(w)
+    return parent, order
+
+
+def root_tree(tree: EdgeSet, root: int = 0) -> RootedTree:
+    n = tree.host.n
+    if not 0 <= root < n:
+        raise ContractError(f"root {root} out of range for n={n}")
+    if not tree.is_spanning_tree():
+        raise ContractError("input is not a spanning tree of its host")
+    parent, order = _bfs(n, tree, root)
     return RootedTree(tree, root, tuple(parent), tuple(order))
 
 
@@ -74,18 +77,6 @@ class LeafSplit:
     subtree_vertices: frozenset[int]
     forest: EdgeSet
     forest_vertices: frozenset[int]
-
-    @property
-    def attachment_roots(self) -> frozenset[int]:
-        return self.subtree_vertices & self.forest_vertices
-
-    def forest_components(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex sets of the forest components (no singletons)."""
-        verts = sorted(self.forest_vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        packed = [(index[a], index[b]) for a, b in self.forest]
-        return tuple(tuple(verts[i] for i in block)
-                     for block in components(len(verts), packed))
 
 
 def leaf_split(rt: RootedTree) -> LeafSplit:
@@ -182,66 +173,20 @@ def matching_decomposition(n2: int) -> MatchingDecomposition:
     return MatchingDecomposition(n2, tuple(range(1, n2)) + (0,))
 
 
-@dataclass(frozen=True)
-class ParallelSubgraph:
-    """Edge set of the product tied to one factor spanning tree.
-
-    Cartesian: the union of all cross-section (or fiber) copies of the tree.
-    Lexicographic: one matching applied uniformly over every bundle of the
-    tree, giving n2 components that each meet every fiber exactly once.
-    """
-
-    product: ProductGraph
-    source_tree: EdgeSet
-    which_factor: str
-    matching_index: int | None
-    edges: EdgeSet
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return components(self.product.graph.n, self.edges.edges)
-
-
-def parallel_subgraphs_cartesian(product: ProductGraph, tree: EdgeSet,
-                                 which_factor: str) -> ParallelSubgraph:
-    """All copies of a factor spanning tree across the other factor's vertices."""
-    if product.kind != CARTESIAN:
-        raise InputError("expected a cartesian product")
-    if which_factor == "g":
-        factor, copies = product.factor_g, product.n2
-    elif which_factor == "h":
-        factor, copies = product.factor_h, product.n1
-    else:
-        raise InputError(f"which_factor must be 'g' or 'h', got {which_factor!r}")
-    if tree.host.n != factor.n or tree.host.edges != factor.edges:
-        raise ContractError("tree host does not match the named factor")
-    if not tree.is_spanning_tree():
-        raise ContractError("input is not a spanning tree of the named factor")
-    out: list[Edge] = []
-    for i in range(copies):
-        if which_factor == "g":
-            out.extend((a * product.n2 + i, b * product.n2 + i) for a, b in tree)
-        else:
-            base = i * product.n2
-            out.extend((base + a, base + b) for a, b in tree)
-    return ParallelSubgraph(product, tree, which_factor, None,
-                            EdgeSet.of(product.graph, out))
-
-
 def parallel_subgraph_lex(product: ProductGraph, tree: EdgeSet,
-                          j: int) -> ParallelSubgraph:
+                          j: int) -> EdgeSet:
     """Matching j applied over every bundle of a first-factor spanning tree.
 
-    Bundle orientation follows the tree rooted at vertex 0, so subgraphs of
-    the same tree with distinct indices are edge-disjoint and together cover
-    all of the tree's bundle edges.
+    The result has n2 components that each meet every fiber once.  Bundle
+    orientation follows the tree rooted at vertex 0, so subgraphs of the same
+    tree with distinct indices are edge-disjoint and together cover all of
+    the tree's bundle edges.
     """
     if product.kind != LEXICOGRAPHIC:
         raise InputError("expected a lexicographic product")
     if (tree.host.n != product.factor_g.n
             or tree.host.edges != product.factor_g.edges):
         raise ContractError("tree host does not match the first factor")
-    if not tree.is_spanning_tree():
-        raise ContractError("input is not a spanning tree of the first factor")
     md = matching_decomposition(product.n2)
     if not 1 <= j <= product.n2:
         raise InputError(f"matching index {j} out of range 1..{product.n2}")
@@ -249,7 +194,8 @@ def parallel_subgraph_lex(product: ProductGraph, tree: EdgeSet,
     out: list[Edge] = []
     for parent, child in rt.edges_bfs():
         out.extend(md.matching_edges(product, parent, child, j))
-    return ParallelSubgraph(product, tree, "g", j, EdgeSet.of(product.graph, out))
+    # matching edges are (min, max) bundle edges: no re-validation
+    return EdgeSet(product.graph, tuple(sorted(out)))
 
 
 def extract_spanning_tree(host: Graph, sub: EdgeSet) -> EdgeSet:
@@ -258,36 +204,9 @@ def extract_spanning_tree(host: Graph, sub: EdgeSet) -> EdgeSet:
     Deterministic: search starts at vertex 0 and scans neighbors in ascending
     order, so the same input always yields the same tree.
     """
-    n = host.n
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in sub:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    seen[0] = True
-    picked: list[Edge] = []
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                picked.append(normalize_edge(v, w))
-                queue.append(w)
-    for v in range(n):
-        if not seen[v]:
-            raise ExtractionError(
-                f"vertex {v} is not reachable from vertex 0 in the subgraph")
-    return EdgeSet.of(host, picked)
-
-
-def to_dot(edges: EdgeSet, name: str = "g") -> str:
-    """DOT text for quick rendering of any edge set."""
-    lines = [f"graph {name} {{"]
-    labels = edges.host.labels
-    if labels is not None:
-        for v in sorted(edges.vertices()):
-            lines.append(f'  {v} [label="{labels[v]}"];')
-    lines.extend(f"  {a} -- {b};" for a, b in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    parent, order = _bfs(host.n, sub, 0)
+    if len(order) < host.n:
+        v = parent.index(-1)
+        raise ExtractionError(
+            f"vertex {v} is not reachable from vertex 0 in the subgraph")
+    return EdgeSet.of(host, [normalize_edge(parent[w], w) for w in order[1:]])

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
-                   TreePacking, check_packing)
+                   TreePacking)
 from .decomp import (RootedTree, extract_spanning_tree, matching_decomposition,
                      parallel_subgraph_lex, root_tree)
 from .products import lexicographic
-from .verify import verify_packing
+from .verify import check_packing, verify_packing
 
 BALANCED = "balanced"
 H_RICH = "h_rich"
@@ -41,40 +41,28 @@ class LexPlan:
     tree_count: int
 
 
-def lex_bound(k: int, ell: int, n1: int, n2: int) -> tuple[str, int]:
-    """Guaranteed tree count for the lexicographic product, with its regime.
+def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
+    """Regime, budget x and guaranteed tree count for the lexicographic product.
 
     balanced (l*n1 = k*n2): k*n2 trees; fiber-tree surplus (l*n1 > k*n2):
-    k*n2 - ceil((k*n2-1)/n1) + l - 1; subgraph surplus (l*n1 < k*n2):
-    k*n2 - 2*ceil((k*n2-1)/(n1+1)) + l - 1.
+    x = ceil((k*n2-1)/n1) and k*n2 - x + l - 1 trees; subgraph surplus
+    (l*n1 < k*n2): x = ceil((k*n2-1)/(n1+1)) and k*n2 - 2x + l - 1 trees.
     """
     if min(k, ell, n1, n2) < 1:
         raise InputError("k, ell, n1, n2 must all be >= 1")
     if ell * n1 == k * n2:
-        return BALANCED, k * n2
+        return LexPlan(BALANCED, k, ell, n1, n2, 0, k * n2)
     if ell * n1 > k * n2:
-        return H_RICH, k * n2 - _ceil_div(k * n2 - 1, n1) + ell - 1
-    return G_RICH, k * n2 - 2 * _ceil_div(k * n2 - 1, n1 + 1) + ell - 1
-
-
-def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
-    case, count = lex_bound(k, ell, n1, n2)
-    if case == BALANCED:
-        x = 0
-    elif case == H_RICH:
         x = _ceil_div(k * n2 - 1, n1)
-    else:
-        x = _ceil_div(k * n2 - 1, n1 + 1)
-    return LexPlan(case, k, ell, n1, n2, x, count)
+        return LexPlan(H_RICH, k, ell, n1, n2, x, k * n2 - x + ell - 1)
+    x = _ceil_div(k * n2 - 1, n1 + 1)
+    return LexPlan(G_RICH, k, ell, n1, n2, x, k * n2 - 2 * x + ell - 1)
 
 
-def _fiber_copy(n2: int, tree: EdgeSet, u: int) -> list[Edge]:
-    base = u * n2
-    return [(base + a, base + b) for a, b in tree]
-
-
-def _cross_section_copy(n2: int, tree: EdgeSet, v: int) -> list[Edge]:
-    return [(a * n2 + v, b * n2 + v) for a, b in tree]
+def lex_bound(k: int, ell: int, n1: int, n2: int) -> tuple[str, int]:
+    """Guaranteed tree count for the lexicographic product, with its regime."""
+    plan = lex_plan(k, ell, n1, n2)
+    return plan.case, plan.tree_count
 
 
 def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
@@ -98,7 +86,17 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
         return list(parallel_subgraph_lex(product, pack_g.trees[i], j).edges)
 
     def make_tree(edges: list[Edge]) -> EdgeSet:
-        return EdgeSet.of(product.graph, edges)
+        # (min, max) copies of checked factor trees: the verify_packing
+        # below is their only check
+        return EdgeSet(product.graph, tuple(sorted(edges)))
+
+    def section_tree(t: int, v: int) -> EdgeSet:
+        """Every fiber copy of H-tree t, joined by the cross-section copy at v
+        of the held-back last G-tree."""
+        edges = product.cross_section_copy(pack_g.trees[k - 1], v)
+        for u in range(n1):
+            edges.extend(product.fiber_copy(pack_h.trees[t], u))
+        return make_tree(edges)
 
     reserved = (k - 1, md.identity_index)
     trees: list[EdgeSet] = []
@@ -111,7 +109,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 f"internal: {len(subs)} subgraphs vs {len(fibers)} fiber trees")
         for (i, j), (t, s) in zip(subs, fibers):
             trees.append(make_tree(
-                subgraph_edges(i, j) + _fiber_copy(n2, pack_h.trees[t], s)))
+                subgraph_edges(i, j) + product.fiber_copy(pack_h.trees[t], s)))
 
     elif plan.case == H_RICH:
         if plan.x > ell:
@@ -123,29 +121,20 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
         fibers = [(t, s) for t in range(plan.x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
             trees.append(make_tree(
-                subgraph_edges(i, j) + _fiber_copy(n2, pack_h.trees[t], s)))
+                subgraph_edges(i, j) + product.fiber_copy(pack_h.trees[t], s)))
         if ell - plan.x > n2:
             raise ConstructionError(
                 f"cross-section budget exceeded: need {ell - plan.x} "
                 f"sections, have {n2}")
         for t in range(plan.x, ell):
-            edges: list[Edge] = []
-            for u in range(n1):
-                edges.extend(_fiber_copy(n2, pack_h.trees[t], u))
-            edges.extend(_cross_section_copy(n2, pack_g.trees[k - 1],
-                                             t - plan.x))
-            trees.append(make_tree(edges))
+            trees.append(section_tree(t, t - plan.x))
 
     else:  # G_RICH
         if ell > n2:
             raise ConstructionError(
                 f"cross-section budget exceeded: need {ell} sections, have {n2}")
         for t in range(ell):
-            edges = []
-            for u in range(n1):
-                edges.extend(_fiber_copy(n2, pack_h.trees[t], u))
-            edges.extend(_cross_section_copy(n2, pack_g.trees[k - 1], t))
-            trees.append(make_tree(edges))
+            trees.append(section_tree(t, t))
         # cycle pair (i, r) burns matchings 2r-1, 2r of tree i; the pair that
         # would touch the reserved identity matching is off limits
         candidates = [(i, r) for i in range(k) for r in range(1, n2 // 2 + 1)

@@ -8,21 +8,18 @@ occupies a contiguous index block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import (Edge, Graph, InputError, ParseError,
+from .core import (Edge, Graph, InputError, ParseError, SizeError,
                    UnsupportedOperationError, normalize_edge, read_graph,
                    sort_edges, write_graph)
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
 
-
-@dataclass(frozen=True)
-class ProductVertex:
-    g_index: int
-    h_index: int
+# Largest product edge count a constructor builds.  The benchmark's largest
+# product, K40 x C40, has 33k edges.
+MAX_PRODUCT_EDGES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -59,24 +56,24 @@ class ProductGraph:
     def flat(self, u: int, v: int) -> int:
         return u * self.n2 + v
 
-    def coords(self, x: int) -> ProductVertex:
-        return ProductVertex(x // self.n2, x % self.n2)
-
     def fiber(self, u: int) -> tuple[int, ...]:
         """Flat indices of the copy of the second factor above vertex u."""
         base = u * self.n2
         return tuple(range(base, base + self.n2))
 
-    def fiber_edges(self, u: int) -> tuple[Edge, ...]:
+    def fiber_copy(self, edges: Iterable[Edge], u: int) -> list[Edge]:
+        """Second-factor edges copied into the fiber above vertex u."""
         base = u * self.n2
-        return tuple((base + a, base + b) for a, b in self.factor_h.edges)
+        return [(base + a, base + b) for a, b in edges]
 
     def cross_section(self, v: int) -> tuple[int, ...]:
         """Flat indices of the copy of the first factor at second coordinate v."""
         return tuple(u * self.n2 + v for u in range(self.n1))
 
-    def cross_section_edges(self, v: int) -> tuple[Edge, ...]:
-        return tuple((a * self.n2 + v, b * self.n2 + v) for a, b in self.factor_g.edges)
+    def cross_section_copy(self, edges: Iterable[Edge], v: int) -> list[Edge]:
+        """First-factor edges copied into the cross-section at second coordinate v."""
+        n2 = self.n2
+        return [(a * n2 + v, b * n2 + v) for a, b in edges]
 
     def rung_edges(self, g_edge: Edge) -> tuple[Edge, ...]:
         """The n2 parallel cross edges of a cartesian product over one factor edge."""
@@ -101,21 +98,18 @@ class ProductGraph:
         edges = tuple((x, y) for x in left for y in right)
         return Bundle((a, b), left, right, edges)
 
-    @cached_property
-    def all_cross_edges(self) -> frozenset[Edge]:
-        """Every product edge whose endpoints lie in different fibers."""
-        out: set[Edge] = set()
-        for e in self.factor_g.edges:
-            if self.kind == CARTESIAN:
-                out.update(self.rung_edges(e))
-            else:
-                out.update(self.bundle(e).edges)
-        return frozenset(out)
 
+def _check_factors(g: Graph, h: Graph, cross_per_edge: int) -> None:
+    """Reject empty, too large or disconnected factors before any building.
 
-def _check_factors(g: Graph, h: Graph) -> None:
+    Every first-factor edge carries ``cross_per_edge`` product edges.
+    """
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
+    m = g.n * h.m + g.m * cross_per_edge
+    if m > MAX_PRODUCT_EDGES:
+        raise SizeError(
+            f"product would have {m} edges, more than {MAX_PRODUCT_EDGES}")
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():
@@ -124,7 +118,7 @@ def _check_factors(g: Graph, h: Graph) -> None:
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product: (u,v)~(u',v') iff u=u' and v~v', or v=v' and u~u'."""
-    _check_factors(g, h)
+    _check_factors(g, h, h.n)
     n2 = h.n
     edges: list[Edge] = []
     for u in range(g.n):
@@ -139,7 +133,7 @@ def cartesian(g: Graph, h: Graph) -> ProductGraph:
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
     """Lexicographic product: (u,v)~(u',v') iff u~u', or u=u' and v~v'."""
-    _check_factors(g, h)
+    _check_factors(g, h, h.n * h.n)
     n2 = h.n
     edges: list[Edge] = []
     for u in range(g.n):
@@ -200,7 +194,10 @@ def read_product(text: str) -> ProductGraph:
     g_edges = {(a // n2, b // n2) for a, b in graph.edges if a // n2 != b // n2}
     g = Graph.from_edges(n1, sort_edges(g_edges))
 
-    rebuilt = cartesian(g, h) if kind == CARTESIAN else lexicographic(g, h)
+    try:
+        rebuilt = cartesian(g, h) if kind == CARTESIAN else lexicographic(g, h)
+    except InputError as exc:
+        raise ParseError(f"declared product: {exc}") from None
     if rebuilt.graph.edges != graph.edges:
         raise ParseError("edge list is not the declared product of its factors")
     return rebuilt

@@ -1,7 +1,8 @@
-"""Structural validation of trees and packings, plus closed-form spot checks.
+"""Structural validation of trees and packings.
 
 Verification never trusts how an object was built: every check recomputes the
-property from the edge lists and carries a concrete witness on failure.
+property from the edge lists and carries a concrete witness on failure.  It
+is the bottom layer: it imports only the carrier types of ``core``.
 """
 
 from __future__ import annotations
@@ -9,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import (Edge, EdgeSet, Graph, SizeError, TreePacking, complete,
-                   complete_multipartite, cycle, hypercube)
-from .oracle import max_packing
-from .products import cartesian
+from .core import ContractError, Edge, EdgeSet, Graph, TreePacking
 
 
 @dataclass(frozen=True)
@@ -130,74 +128,16 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     return VerificationReport(subject, tuple(checks))
 
 
-# Closed forms for packing numbers of the seven catalogued families.
-# Rows: 1 K_n x C_m, 2 K_n x K_m, 3 hypercube Q_n, 4 K_{n(m)} x K_r,
-# 5 K_{n(m)} x C_r, 6 K_{n(m)} x K_{r(t)}, 7 K_{n(m)} alone.
-# All products are cartesian.
+def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
+    """Raise ContractError unless the packing is valid for the given host.
 
-def proposition_graph(row: int, params: tuple[int, ...]) -> Graph:
-    if row == 1:
-        n, m = params
-        return cartesian(complete(n), cycle(m)).graph
-    if row == 2:
-        n, m = params
-        return cartesian(complete(n), complete(m)).graph
-    if row == 3:
-        (n,) = params
-        return hypercube(n)
-    if row == 4:
-        n, m, r = params
-        return cartesian(complete_multipartite(n, m), complete(r)).graph
-    if row == 5:
-        n, m, r = params
-        return cartesian(complete_multipartite(n, m), cycle(r)).graph
-    if row == 6:
-        n, m, r, t = params
-        return cartesian(complete_multipartite(n, m),
-                         complete_multipartite(r, t)).graph
-    if row == 7:
-        n, m = params
-        return complete_multipartite(n, m)
-    raise ValueError(f"row must be 1..7, got {row}")
-
-
-def proposition_value(row: int, params: tuple[int, ...]) -> int:
-    if row == 1:
-        n, m = params
-        return (n + 1) // 2
-    if row == 2:
-        n, m = params
-        if not 2 <= n <= m:
-            raise ValueError("row 2 requires 2 <= n <= m")
-        return (n + m - 2) // 2
-    if row == 3:
-        (n,) = params
-        return n // 2
-    if row == 4:
-        n, m, r = params
-        return (n * m - m + r - 1) // 2
-    if row == 5:
-        n, m, r = params
-        return (n * m - m + 2) // 2
-    if row == 6:
-        n, m, r, t = params
-        return (m * (n - 1) + (r - 1) * t) // 2
-    if row == 7:
-        n, m = params
-        return m * (n - 1) // 2
-    raise ValueError(f"row must be 1..7, got {row}")
-
-
-def verify_proposition_row(row: int, params: tuple[int, ...]) -> VerificationReport:
-    """Check one catalogued closed form against the exact oracle."""
-    value = proposition_value(row, params)
-    g = proposition_graph(row, params)
-    if g.n > 64:
-        raise SizeError(f"row {row}{params} has {g.n} > 64 vertices")
-    result = max_packing(g)
-    ok = result.sigma == value
-    checks = (
-        Check(f"row {row} params {params}: oracle sigma equals closed form {value}",
-              ok, None if ok else f"oracle found {result.sigma}"),
-    )
-    return VerificationReport(f"closed form row {row} {params}", checks)
+    Beyond the host match and the tree count, this is ``verify_packing``:
+    the message names the role and the first failing check with its witness.
+    """
+    if packing.host.n != host.n or packing.host.edges != host.edges:
+        raise ContractError(f"{role}: packing host does not match the graph")
+    if len(packing.trees) < 1:
+        raise ContractError(f"{role}: packing must contain at least one tree")
+    for check in verify_packing(host, packing).checks:
+        if not check.passed:
+            raise ContractError(f"{role}: {check.name} fails: {check.witness}")

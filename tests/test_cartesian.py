@@ -166,7 +166,7 @@ def test_pack_cartesian_rejects_bad_packings():
     with pytest.raises(ContractError, match="host"):
         pack_cartesian(p3, k4, pk4, pk4)
     dup = TreePacking(k4, (pk4.trees[0], pk4.trees[0]))
-    with pytest.raises(ContractError, match="share"):
+    with pytest.raises(ContractError, match="pairwise edge-disjoint"):
         pack_cartesian(k4, p3, dup, max_packing(p3).packing)
     empty_host = path(1)
     with pytest.raises(ContractError, match="at least one"):

@@ -201,6 +201,24 @@ def test_pack_and_verify_match_pinned_output(capsys, monkeypatch, tmp_path,
     assert stdout == (GOLDEN / f"{name}.verify.json").read_text()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_table_matches_pinned_output(capsys, fmt, suffix):
+    code, out, _ = run(capsys, "table", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"table.{suffix}").read_text()
+
+
+def test_oversized_product_is_usage_error(capsys, tmp_path):
+    k2 = tmp_path / "k2.txt"
+    p3000 = tmp_path / "p3000.txt"
+    run(capsys, "gen", "complete", "2", "--out", str(k2))
+    run(capsys, "gen", "path", "3000", "--out", str(p3000))
+    for command in ("product", "pack"):
+        code, out, err = run(capsys, command, "lex", str(k2), str(p3000))
+        assert code == 2 and out == ""
+        assert "error: product would have 9005998 edges" in err
+
+
 def test_oracle_rejects_disconnected(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 4 2\ne 0 1\ne 2 3\n")

@@ -6,12 +6,18 @@ from treepack.core import (ContractError, EdgeSet, ExtractionError, Graph,
                            InputError, complete, components, cycle, path)
 from treepack.decomp import (extract_spanning_tree, leaf_split,
                              matching_decomposition, parallel_subgraph_lex,
-                             parallel_subgraphs_cartesian, root_tree, to_dot)
+                             root_tree)
 from treepack.products import cartesian, lexicographic
 
 
 def _tree(host: Graph) -> EdgeSet:
     return extract_spanning_tree(host, EdgeSet.of(host, host.edges))
+
+
+def _forest_components(sp) -> tuple:
+    """Vertex sets of a leaf split's forest components (no singletons)."""
+    return tuple(c for c in components(sp.source.host.n, sp.forest.edges)
+                 if len(c) > 1)
 
 
 def test_root_tree_orders_breadth_first():
@@ -43,8 +49,9 @@ def test_leaf_split_known_seven_vertex_tree():
     assert sp.subtree_vertices == frozenset({3, 4, 5, 6})
     assert sp.forest.edges == ((0, 3), (1, 5), (2, 5))
     assert sp.forest_vertices == frozenset({0, 1, 2, 3, 5})
-    assert sp.attachment_roots == frozenset({3, 5})
-    assert sp.forest_components() == ((0, 3), (1, 2, 5))
+    # attachment roots: kept vertices the forest touches
+    assert sp.subtree_vertices & sp.forest_vertices == frozenset({3, 5})
+    assert _forest_components(sp) == ((0, 3), (1, 2, 5))
 
 
 def test_leaf_split_path_and_single_edge():
@@ -79,7 +86,7 @@ def test_leaf_split_invariants_random_trees():
         # kept part is a tree on its vertex set
         assert len(sp.subtree) == len(sp.subtree_vertices) - 1
         # each forest component holds exactly one kept vertex
-        for comp in sp.forest_components():
+        for comp in _forest_components(sp):
             assert len(set(comp) & sp.subtree_vertices) == 1
         # dropped vertices all appear in the forest
         dropped = set(range(n)) - sp.subtree_vertices
@@ -159,33 +166,6 @@ def test_cycle_index_bounds():
         matching_decomposition(4).matching_edges(p, 0, 1, 1)
 
 
-def test_parallel_subgraphs_cartesian():
-    g, h = complete(4), cycle(3)
-    p = cartesian(g, h)
-    star = EdgeSet.of(g, [(0, 1), (0, 2), (0, 3)])
-    fg = parallel_subgraphs_cartesian(p, star, "g")
-    assert len(fg.edges) == 9
-    assert len(fg.components()) == 3
-    ht = EdgeSet.of(h, [(0, 1), (1, 2)])
-    fh = parallel_subgraphs_cartesian(p, ht, "h")
-    assert len(fh.edges) == 8
-    assert len(fh.components()) == 4
-    # the union spans every product vertex
-    touched = fg.edges.vertices() | fh.edges.vertices()
-    assert touched == frozenset(range(12))
-
-
-def test_parallel_subgraphs_cartesian_errors():
-    p = cartesian(path(2), path(3))
-    t = EdgeSet.of(path(2), [(0, 1)])
-    with pytest.raises(InputError):
-        parallel_subgraphs_cartesian(p, t, "x")
-    with pytest.raises(ContractError):
-        parallel_subgraphs_cartesian(p, t, "h")   # wrong factor
-    with pytest.raises(InputError):
-        parallel_subgraphs_cartesian(lexicographic(path(2), path(3)), t, "g")
-
-
 def test_parallel_subgraph_lex_components():
     g, h = path(3), complete(4)
     p = lexicographic(g, h)
@@ -193,7 +173,7 @@ def test_parallel_subgraph_lex_components():
     for j in range(1, 5):
         ps = parallel_subgraph_lex(p, t, j)
         assert len(ps.edges) == (g.n - 1) * h.n
-        comps = ps.components()
+        comps = components(p.graph.n, ps.edges)
         assert len(comps) == h.n
         for comp in comps:
             assert len(comp) == g.n
@@ -201,7 +181,8 @@ def test_parallel_subgraph_lex_components():
             assert sorted(v // h.n for v in comp) == list(range(g.n))
     union = {e for j in range(1, 5)
              for e in parallel_subgraph_lex(p, t, j).edges}
-    assert union == set(p.all_cross_edges)
+    fiber_edges = {e for u in range(g.n) for e in p.fiber_copy(h.edges, u)}
+    assert union == p.graph.edge_set - fiber_edges
 
 
 def test_parallel_subgraph_lex_errors():
@@ -224,12 +205,3 @@ def test_extract_spanning_tree():
     assert extract_spanning_tree(c4, ext).edges == ext.edges
     with pytest.raises(ExtractionError, match="vertex 3"):
         extract_spanning_tree(c4, EdgeSet.of(c4, [(0, 1), (1, 2)]))
-
-
-def test_to_dot_renders_edges_and_labels():
-    from treepack.core import hypercube
-    q = hypercube(2)
-    dot = to_dot(EdgeSet.of(q, q.edges))
-    assert "0 -- 1;" in dot
-    assert 'label="01"' in dot
-    assert dot.startswith("graph g {")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from treepack.core import (Graph, InputError, SizeError, complete,
                            complete_minus_edge, complete_multipartite, cycle,
-                           hypercube, path)
+                           hypercube, path, read_graph)
 from treepack.oracle import (edge_bound, max_packing, tutte_bruteforce)
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing
@@ -61,6 +62,19 @@ def test_max_packing_rejects_bad_input():
         max_packing(path(1))
     with pytest.raises(InputError):
         max_packing(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_too_few_edges_rejected_before_allocating():
+    # m < n - 1 cannot be connected: no O(n) component search is needed
+    g = read_graph("p 200000 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="disconnected"):
+            max_packing(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_tree_certificate_is_all_singletons():

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (Graph, InputError, ParseError, complete, cycle, path,
-                           read_graph, write_graph)
+from treepack.core import (Graph, InputError, ParseError, SizeError, complete,
+                           cycle, path, read_graph, write_graph)
 from treepack.products import (Bundle, ProductGraph, cartesian, lexicographic,
                                read_product, write_product,
                                UnsupportedOperationError)
@@ -54,19 +55,12 @@ def test_lexicographic_not_commutative():
     assert a.m != b.m
 
 
-def test_flat_and_coords_round_trip():
-    p = cartesian(cycle(3), path(4))
-    for x in range(p.graph.n):
-        c = p.coords(x)
-        assert p.flat(c.g_index, c.h_index) == x
-
-
 def test_fiber_and_cross_section():
     p = cartesian(path(3), cycle(4))
     assert p.fiber(1) == (4, 5, 6, 7)
-    assert set(p.fiber_edges(1)) <= p.graph.edge_set
+    assert set(p.fiber_copy(p.factor_h.edges, 1)) <= p.graph.edge_set
     assert p.cross_section(2) == (2, 6, 10)
-    assert set(p.cross_section_edges(0)) == {(0, 4), (4, 8)}
+    assert set(p.cross_section_copy(p.factor_g.edges, 0)) == {(0, 4), (4, 8)}
 
 
 def test_rung_edges_cartesian_only():
@@ -90,13 +84,6 @@ def test_bundle_lex_only():
         cartesian(path(2), path(2)).bundle((0, 1))
     with pytest.raises(InputError):
         p.bundle((0, 0))
-
-
-def test_all_cross_edges_partition():
-    p = lexicographic(path(3), path(3))
-    fiber_edges = {e for u in range(3) for e in p.fiber_edges(u)}
-    assert p.all_cross_edges | fiber_edges == p.graph.edge_set
-    assert not p.all_cross_edges & fiber_edges
 
 
 def test_factors_must_be_connected():
@@ -128,6 +115,71 @@ def test_read_product_rejects_wrong_header():
     # claim it is a lex product: edge set will not match the rebuild
     with pytest.raises(ParseError, match="not the declared product"):
         read_product(text.replace("cartesian", "lex"))
+
+
+def test_read_product_disconnected_factor_is_parse_error():
+    header = "# product cartesian n1=2 n2=3\n"
+    with pytest.raises(ParseError, match="second factor must be connected"):
+        read_product(header + "p 6 2\ne 0 3\ne 1 4\n")
+    with pytest.raises(ParseError, match="first factor must be connected"):
+        read_product(header + "p 6 0\n")
+
+
+_PRODUCT_TOKENS = ["#", "product", "cartesian", "lex", "n1=2", "n2=3", "n1=0",
+                   "n2=-1", "n1=99999999999", "p", "e", "0", "1", "2", "3",
+                   "4", "5", "-1", "6", "x", "", "e 0 3", "p 6 0", "\n"]
+
+
+def _parses_or_parse_error(kind: str, edits) -> None:
+    """Put each token in place of token j of line i of a product file (past
+    the end: append; empty token: delete), as in the read_graph fuzz test;
+    the result must parse to its own graph or raise ParseError."""
+    make = cartesian if kind == "cartesian" else lexicographic
+    lines = [line.split() for line in
+             write_product(make(path(2), path(3))).splitlines()]
+    for i, j, token in edits:
+        words = lines[i % len(lines)]
+        words[j:j + 1] = [token] if token else []
+    text = "\n".join(" ".join(words) for words in lines) + "\n"
+    try:
+        p = read_product(text)
+    except ParseError:
+        return
+    assert p.graph == read_graph(text)
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "lex"])
+def test_read_product_single_token_edits(kind):
+    # every single edit; replacing one endpoint of a fiber-0 edge leaves the
+    # second factor disconnected
+    for i in range(10):
+        for j in range(5):
+            for token in _PRODUCT_TOKENS:
+                _parses_or_parse_error(kind, [(i, j, token)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["cartesian", "lex"]),
+       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4),
+                          st.sampled_from(_PRODUCT_TOKENS)), max_size=6))
+def test_read_product_fuzz_raises_only_parse_error(kind, edits):
+    _parses_or_parse_error(kind, edits)
+
+
+def test_product_size_is_checked_before_building():
+    k2, p3000, p2000 = complete(2), path(3000), path(2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="9005998 edges"):
+            lexicographic(k2, p3000)     # 2*2999 + 1*3000^2 edges
+        with pytest.raises(SizeError):
+            cartesian(p2000, p2000)      # 2 * 2000 * 1999 edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the benchmark's largest product stays far below the cap
+    assert cartesian(complete(40), cycle(40)).graph.m == 40 * 40 + 780 * 40
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:

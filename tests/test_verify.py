@@ -1,17 +1,20 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepack.cartesian import pack_cartesian
-from treepack.core import (EdgeSet, SizeError, TreePacking, complete, cycle,
-                           path)
-from treepack.lex import pack_lex
+from treepack.cartesian import cartesian_bound, pack_cartesian
+from treepack.catalogue import (proposition_graph, proposition_value,
+                                verify_proposition_row)
+from treepack.core import (EdgeSet, Graph, SizeError, TreePacking, complete,
+                           cycle, path)
+from treepack.lex import lex_bound, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import (proposition_graph, proposition_value,
-                             verify_packing, verify_proposition_row,
-                             verify_tree)
+from treepack.verify import verify_packing, verify_tree
 
 
 def test_verify_tree_passes_on_spanning_tree():
@@ -182,6 +185,28 @@ def test_proposition_values():
         proposition_value(2, (5, 4))
     with pytest.raises(ValueError):
         proposition_value(8, (1,))
+    # outside their domains these forms disagree with the oracle, so they raise
+    for row, params in [(7, (4, 1)), (7, (2, 1)), (7, (6, 1)), (3, (1,)),
+                        (4, (2, 1, 1)), (4, (4, 1, 1))]:
+        with pytest.raises(ValueError, match=f"row {row} requires"):
+            proposition_value(row, params)
+
+
+@pytest.mark.parametrize("row, arity", [(1, 2), (2, 2), (3, 1), (4, 3), (5, 3),
+                                        (6, 4), (7, 2)])
+def test_proposition_values_match_oracle_in_domain(row, arity):
+    checked = 0
+    for params in itertools.product(range(1, 7), repeat=arity):
+        try:
+            value = proposition_value(row, params)
+            g = proposition_graph(row, params)
+        except ValueError:   # outside the form's domain, or no such family
+            continue
+        if g.n > 24:
+            continue
+        assert max_packing(g).sigma == value, (row, params)
+        checked += 1
+    assert checked >= 3
 
 
 def test_proposition_graphs_have_expected_sizes():
@@ -211,3 +236,29 @@ def test_report_rendering():
     record = report.to_record()
     assert record["overall"] is True
     assert all(c["passed"] for c in record["checks"])
+
+
+@st.composite
+def connected_factor(draw) -> Graph:
+    """A random spanning tree on 2..6 vertices plus random extra edges."""
+    n = draw(st.integers(2, 6))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, sorted(tree | set(extra)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_factor(), connected_factor())
+def test_constructions_meet_bound_and_verify(g, h):
+    """Both constructions on random factors: the promised tree count, a
+    passing verify_packing, and never more trees than the product's sigma."""
+    rg, rh = max_packing(g), max_packing(h)
+    for kind, pack, bound in (
+            ("cartesian", pack_cartesian, cartesian_bound(rg.sigma, rh.sigma)),
+            ("lex", pack_lex, lex_bound(rg.sigma, rh.sigma, g.n, h.n)[1])):
+        out = pack(g, h, rg.packing, rh.packing)
+        assert len(out.trees) == bound, kind
+        assert verify_packing(out.host, out).overall, kind
+        assert out.host.n <= 36
+        assert len(out.trees) <= max_packing(out.host).sigma, kind
