@@ -18,9 +18,8 @@ from typing import Any, Sequence
 from .cartesian import pack_cartesian
 from .catalogue import TableRow, table_rows
 from .core import (ContractError, EdgeSet, FamilySpec, Graph, InputError,
-                   ParameterError, ParseError, SizeError, TreePacking,
-                   UnsupportedOperationError, generate, read_graph, sort_edges,
-                   write_graph)
+                   ParameterError, ParseError, SizeError, TreePacking, generate,
+                   read_graph, write_graph)
 from .lex import pack_lex
 from .oracle import max_packing
 from .products import (CARTESIAN, LEXICOGRAPHIC, ProductGraph, cartesian,
@@ -28,8 +27,7 @@ from .products import (CARTESIAN, LEXICOGRAPHIC, ProductGraph, cartesian,
 from .verify import verify_packing
 
 USAGE_ERRORS = (ParameterError, ParseError, InputError, ContractError,
-                SizeError, UnsupportedOperationError, OSError,
-                json.JSONDecodeError)
+                SizeError, OSError, json.JSONDecodeError)
 
 FAMILY_CLI_NAMES = {
     "path": "path",
@@ -94,13 +92,17 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
     for idx, raw in enumerate(record["trees"]):
         if not isinstance(raw, list):
             raise ParseError(f"{path_}: tree {idx} is not a list of edges")
+        edges = []
         for e in raw:
             if type(e) is not list or len(e) != 2:
                 raise ParseError(f"{path_}: tree {idx} entry {e!r} is not a [u, v] pair")
-            if type(e[0]) is not int or type(e[1]) is not int:
+            a, b = e
+            if type(a) is not int or type(b) is not int:
                 raise ParseError(
                     f"{path_}: tree {idx} edge {e!r} has a non-integer vertex")
-        trees.append(EdgeSet(host, sort_edges(raw)))
+            edges.append((a, b) if a < b else (b, a))
+        edges.sort()
+        trees.append(EdgeSet(host, tuple(edges)))
     return TreePacking(host, tuple(trees), str(record.get("method", "user")))
 
 

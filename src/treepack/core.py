@@ -38,12 +38,19 @@ class ExtractionError(ValueError):
     """Spanning-tree extraction failed: subgraph disconnected or non-spanning."""
 
 
-class UnsupportedOperationError(TypeError):
-    """The operation is not defined for this kind of object."""
-
-
 class SizeError(ValueError):
-    """Instance too large for an exhaustive method."""
+    """Instance too large to build or to search exhaustively."""
+
+
+# Largest edge count a graph may have, whether read, generated or built as a
+# product.  The benchmark's largest product, K40 x C40, has 33k edges.
+MAX_EDGES = 2_000_000
+
+
+def check_edge_count(m: int, what: str = "graph") -> None:
+    """Raise SizeError before building a graph with more than MAX_EDGES edges."""
+    if m > MAX_EDGES:
+        raise SizeError(f"{what} would have {m} edges, more than {MAX_EDGES}")
 
 
 def normalize_edge(a: int, b: int) -> Edge:
@@ -219,18 +226,21 @@ class FamilySpec:
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path requires n >= 1, got {n}")
+    check_edge_count(n - 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError(f"cycle requires n >= 3, got {n}")
+    check_edge_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete requires n >= 1, got {n}")
+    check_edge_count(n * (n - 1) // 2)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -243,6 +253,7 @@ def complete_multipartite(parts: int, size: int) -> Graph:
         raise ParameterError(f"complete_multipartite requires parts >= 2, got {parts}")
     if size < 1:
         raise ParameterError(f"complete_multipartite requires size >= 1, got {size}")
+    check_edge_count(parts * (parts - 1) // 2 * size * size)
     n = parts * size
     edges = [(a, b) for a in range(n) for b in range(a + 1, n)
              if a // size != b // size]
@@ -253,6 +264,9 @@ def hypercube(dim: int) -> Graph:
     """The dim-dimensional hypercube; vertex v carries the binary code of v."""
     if dim < 1:
         raise ParameterError(f"hypercube requires dimension >= 1, got {dim}")
+    if dim > 64:   # the exact edge count would be a dim-bit integer
+        raise SizeError(f"hypercube dimension {dim} is above 64")
+    check_edge_count(dim << (dim - 1))
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
     labels = [format(v, f"0{dim}b") for v in range(n)]
@@ -263,6 +277,7 @@ def complete_minus_edge(n: int) -> Graph:
     """K_n with the single edge {n-2, n-1} removed."""
     if n < 3:
         raise ParameterError(f"complete_minus_edge requires n >= 3, got {n}")
+    check_edge_count(n * (n - 1) // 2 - 1)
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (n - 2, n - 1)]
     return Graph.from_edges(n, edges)
 
@@ -347,6 +362,12 @@ def read_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer in 'p' line") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative count in 'p' line")
+            # no connected graph on more than MAX_EDGES + 1 vertices fits
+            # under the edge cap
+            if m > MAX_EDGES or n > MAX_EDGES + 1:
+                raise SizeError(
+                    f"line {lineno}: 'p {n} {m}' is above the cap of "
+                    f"{MAX_EDGES} edges and {MAX_EDGES + 1} vertices")
         else:
             raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:

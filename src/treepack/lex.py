@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
                    TreePacking)
-from .decomp import (RootedTree, extract_spanning_tree, matching_decomposition,
-                     parallel_subgraph_lex, root_tree)
+from .decomp import extract_spanning_tree, root_tree
 from .products import lexicographic
 from .verify import check_packing, verify_packing
 
@@ -77,13 +76,12 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     n1, n2 = g.n, h.n
     plan = lex_plan(k, ell, n1, n2)
     product = lexicographic(g, h)
-    md = matching_decomposition(n2)
 
-    rooted: dict[int, RootedTree] = {
-        i: root_tree(pack_g.trees[i], 0) for i in range(k)}
-
-    def subgraph_edges(i: int, j: int) -> list[Edge]:
-        return list(parallel_subgraph_lex(product, pack_g.trees[i], j).edges)
+    # Each G-tree's edges as (parent, child) from root 0.  Parallel subgraph
+    # (i, j) is matching_copy(oriented[i], j): n2 components, each meeting
+    # every fiber once; this orientation makes the n2 subgraphs of one tree
+    # edge-disjoint.
+    oriented = [list(root_tree(t, 0).edges_bfs()) for t in pack_g.trees]
 
     def make_tree(edges: list[Edge]) -> EdgeSet:
         # (min, max) copies of checked factor trees: the verify_packing
@@ -98,7 +96,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
             edges.extend(product.fiber_copy(pack_h.trees[t], u))
         return make_tree(edges)
 
-    reserved = (k - 1, md.identity_index)
+    reserved = (k - 1, n2)   # the identity matching of the last G-tree
     trees: list[EdgeSet] = []
 
     if plan.case == BALANCED:
@@ -108,8 +106,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
             raise ConstructionError(
                 f"internal: {len(subs)} subgraphs vs {len(fibers)} fiber trees")
         for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(make_tree(
-                subgraph_edges(i, j) + product.fiber_copy(pack_h.trees[t], s)))
+            trees.append(make_tree(product.matching_copy(oriented[i], j)
+                                   + product.fiber_copy(pack_h.trees[t], s)))
 
     elif plan.case == H_RICH:
         if plan.x > ell:
@@ -120,8 +118,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 if (i, j) != reserved]
         fibers = [(t, s) for t in range(plan.x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(make_tree(
-                subgraph_edges(i, j) + product.fiber_copy(pack_h.trees[t], s)))
+            trees.append(make_tree(product.matching_copy(oriented[i], j)
+                                   + product.fiber_copy(pack_h.trees[t], s)))
         if ell - plan.x > n2:
             raise ConstructionError(
                 f"cross-section budget exceeded: need {ell - plan.x} "
@@ -144,10 +142,11 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 f"cycle budget exceeded: need {plan.x} matching pairs, "
                 f"have {len(candidates)}")
         taken = candidates[:plan.x]
-        cycles: list[tuple[Edge, ...]] = []
+        cycles: list[list[Edge]] = []
         for i, r in taken:
-            for parent, child in rooted[i].edges_bfs():
-                cycles.append(md.cycle_edges(product, parent, child, r))
+            for e in oriented[i]:
+                cycles.append(product.matching_copy([e], 2 * r - 1)
+                              + product.matching_copy([e], 2 * r))
         consumed = {(i, 2 * r - 1) for i, r in taken}
         consumed.update((i, 2 * r) for i, r in taken)
         singles = [(i, j) for i in range(k) for j in range(1, n2 + 1)
@@ -157,7 +156,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 f"cycle budget exceeded: {len(singles)} subgraphs for "
                 f"{len(cycles)} cycles")
         for (i, j), cyc in zip(singles, cycles):
-            spanning = make_tree(subgraph_edges(i, j) + list(cyc))
+            spanning = make_tree(product.matching_copy(oriented[i], j) + cyc)
             trees.append(extract_spanning_tree(product.graph, spanning))
 
     if len(trees) != plan.tree_count:

@@ -10,30 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (Edge, Graph, InputError, ParseError, SizeError,
-                   UnsupportedOperationError, normalize_edge, read_graph,
-                   sort_edges, write_graph)
+from .core import (Edge, Graph, InputError, ParseError, check_edge_count,
+                   read_graph, sort_edges, write_graph)
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
-
-# Largest product edge count a constructor builds.  The benchmark's largest
-# product, K40 x C40, has 33k edges.
-MAX_PRODUCT_EDGES = 2_000_000
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """All n2*n2 edges of a lexicographic product that sit over one factor edge.
-
-    ``left`` and ``right`` are the flat vertex blocks of the two fibers, in
-    fiber order; ``edges`` joins every left vertex to every right vertex.
-    """
-
-    g_edge: Edge
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -53,50 +34,32 @@ class ProductGraph:
     def n2(self) -> int:
         return self.factor_h.n
 
-    def flat(self, u: int, v: int) -> int:
-        return u * self.n2 + v
-
-    def fiber(self, u: int) -> tuple[int, ...]:
-        """Flat indices of the copy of the second factor above vertex u."""
-        base = u * self.n2
-        return tuple(range(base, base + self.n2))
-
     def fiber_copy(self, edges: Iterable[Edge], u: int) -> list[Edge]:
         """Second-factor edges copied into the fiber above vertex u."""
         base = u * self.n2
         return [(base + a, base + b) for a, b in edges]
-
-    def cross_section(self, v: int) -> tuple[int, ...]:
-        """Flat indices of the copy of the first factor at second coordinate v."""
-        return tuple(u * self.n2 + v for u in range(self.n1))
 
     def cross_section_copy(self, edges: Iterable[Edge], v: int) -> list[Edge]:
         """First-factor edges copied into the cross-section at second coordinate v."""
         n2 = self.n2
         return [(a * n2 + v, b * n2 + v) for a, b in edges]
 
-    def rung_edges(self, g_edge: Edge) -> tuple[Edge, ...]:
-        """The n2 parallel cross edges of a cartesian product over one factor edge."""
-        if self.kind != CARTESIAN:
-            raise UnsupportedOperationError(
-                f"rung_edges is defined for cartesian products, not {self.kind}")
-        a, b = normalize_edge(*g_edge)
-        if (a, b) not in self.factor_g.edge_set:
-            raise InputError(f"({a},{b}) is not an edge of the first factor")
-        return tuple((self.flat(a, v), self.flat(b, v)) for v in range(self.n2))
+    def matching_copy(self, oriented_edges: Iterable[Edge], j: int) -> list[Edge]:
+        """Matching j of the bundle over each (parent, child) first-factor edge.
 
-    def bundle(self, g_edge: Edge) -> Bundle:
-        """The complete bipartite bundle of a lexicographic product over one factor edge."""
-        if self.kind != LEXICOGRAPHIC:
-            raise UnsupportedOperationError(
-                f"bundle is defined for lexicographic products, not {self.kind}")
-        a, b = normalize_edge(*g_edge)
-        if (a, b) not in self.factor_g.edge_set:
-            raise InputError(f"({a},{b}) is not an edge of the first factor")
-        left = self.fiber(a)
-        right = self.fiber(b)
-        edges = tuple((x, y) for x in left for y in right)
-        return Bundle((a, b), left, right, edges)
+        Parent copy t meets child copy (t + j) mod n2, for t = 0..n2-1 in
+        that order.  Matching n2 is the identity (the cartesian rungs);
+        matchings 2r-1 and 2r together form one Hamiltonian cycle of the
+        lexicographic bundle K_{n2,n2} (Laskar and Auerbach).
+        """
+        n2 = self.n2
+        out = []
+        for parent, child in oriented_edges:
+            p, c = parent * n2, child * n2
+            for t in range(n2):
+                a, b = p + t, c + (t + j) % n2
+                out.append((a, b) if a < b else (b, a))
+        return out
 
 
 def _check_factors(g: Graph, h: Graph, cross_per_edge: int) -> None:
@@ -106,10 +69,7 @@ def _check_factors(g: Graph, h: Graph, cross_per_edge: int) -> None:
     """
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
-    m = g.n * h.m + g.m * cross_per_edge
-    if m > MAX_PRODUCT_EDGES:
-        raise SizeError(
-            f"product would have {m} edges, more than {MAX_PRODUCT_EDGES}")
+    check_edge_count(g.n * h.m + g.m * cross_per_edge, "product")
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():

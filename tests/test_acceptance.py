@@ -14,7 +14,6 @@ from treepack import (
     hypercube,
     lex_bound,
     lexicographic,
-    matching_decomposition,
     max_packing,
     pack_cartesian,
     pack_lex,
@@ -181,10 +180,10 @@ def test_criterion_6_bundle_cycle_decomposition():
     def body():
         for r in (2, 4, 6, 8, 10, 12):
             product = lexicographic(path(2), path(r))
-            bundle = product.bundle((0, 1))
-            vertices = bundle.left + bundle.right
-            md = matching_decomposition(r)
-            cycles = [md.cycle_edges(product, 0, 1, j)
+            bundle = {(x, y) for x in range(r) for y in range(r, 2 * r)}
+            vertices = tuple(range(2 * r))
+            cycles = [product.matching_copy([(0, 1)], 2 * j - 1)
+                      + product.matching_copy([(0, 1)], 2 * j)
                       for j in range(1, r // 2 + 1)]
             used: set = set()
             for cyc in cycles:
@@ -192,28 +191,27 @@ def test_criterion_6_bundle_cycle_decomposition():
                 _check_cycle(cyc, vertices)
                 assert used.isdisjoint(cyc)
                 used.update(cyc)
-            assert used == set(bundle.edges)
+            assert used == bundle <= product.graph.edge_set
             assert len(used) == r * r
 
         for r in (3, 5, 7):
             product = lexicographic(path(2), path(r))
-            bundle = product.bundle((0, 1))
-            vertices = bundle.left + bundle.right
-            md = matching_decomposition(r)
+            bundle = {(x, y) for x in range(r) for y in range(r, 2 * r)}
+            vertices = tuple(range(2 * r))
             used = set()
             for j in range(1, (r - 1) // 2 + 1):
-                cyc = md.cycle_edges(product, 0, 1, j)
+                cyc = (product.matching_copy([(0, 1)], 2 * j - 1)
+                       + product.matching_copy([(0, 1)], 2 * j))
                 _check_cycle(cyc, vertices)
                 assert used.isdisjoint(cyc)
                 used.update(cyc)
-            matching = md.matching_edges(product, 0, 1, md.identity_index)
+            matching = product.matching_copy([(0, 1)], r)
             assert len(matching) == r
             touched = [v for e in matching for v in e]
             assert sorted(touched) == sorted(vertices)
             assert used.isdisjoint(matching)
             used.update(matching)
-            assert used == set(bundle.edges)
-            assert len(used) == r * r
+            assert used == bundle <= product.graph.edge_set
 
     _report(6, "bundle matchings pair into edge-disjoint Hamiltonian cycles "
                "covering all r^2 edges (plus one matching for odd r)", body)

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from treepack.cartesian import (KEEPS_FOREST, KEEPS_SUBTREE, build_hat_tree,
-                                cartesian_bound, default_assignment,
-                                pack_cartesian, plan_cross_edges)
+from treepack.cartesian import cartesian_bound, pack_cartesian
 from treepack.core import (ConstructionError, ContractError, EdgeSet, Graph,
                            InputError, TreePacking, complete,
                            complete_multipartite, cycle, hypercube, path)
@@ -26,85 +24,67 @@ def test_cartesian_bound():
         cartesian_bound(0, 1)
 
 
+def _fiber_part(tree: EdgeSet, u: int, n2: int) -> set:
+    """The tree's edges inside fiber u, as second-factor edges."""
+    return {(a - u * n2, b - u * n2) for a, b in tree
+            if a // n2 == b // n2 == u}
+
+
+def _rungs(tree: EdgeSet, u: int, w: int, n2: int) -> list[int]:
+    """Second coordinates of the tree's rungs between fibers u < w."""
+    return sorted(a % n2 for a, b in tree if a // n2 == u and b // n2 == w)
+
+
 def test_default_assignment_counts():
-    g = complete(6)
-    tk = root_tree(spanning(g), 0)
-    assignment = default_assignment(tk)
-    assert len(assignment) == 5
-    kinds = list(assignment.values())
-    assert kinds.count(KEEPS_SUBTREE) == 2    # floor(5/2)
-    assert kinds.count(KEEPS_FOREST) == 3     # the odd fiber keeps the forest
-    # the first fibers in search order keep the subtree
-    assert [assignment[f] for f in tk.order[1:]] == kinds
+    # the backbone (last tree) holds the whole last H-tree in the root fiber,
+    # the split's subtree copy in the first floor(5/2) child fibers of K6,
+    # breadth-first, and its forest copy in the other 3, the odd one included
+    g, h = complete(6), cycle(5)
+    pg, ph = max_packing(g).packing, max_packing(h).packing
+    backbone = pack_cartesian(g, h, pg, ph).trees[-1]
+    tk = root_tree(pg.trees[-1], 0)
+    split = leaf_split(root_tree(ph.trees[-1], 0))
+    assert _fiber_part(backbone, tk.root, h.n) == set(ph.trees[-1].edges)
+    parts = [_fiber_part(backbone, f, h.n) for f in tk.order[1:]]
+    assert parts == [set(split.subtree.edges)] * 2 + [set(split.forest.edges)] * 3
 
 
 def test_plan_cross_edges_known_split():
-    # the 7-vertex tree whose split keeps vertices {3,4,5,6}
+    # the 7-vertex tree whose split keeps vertices {3,4,5,6}; over P3 fiber 1
+    # keeps the subtree copy and fiber 2 the forest copy
     host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
-    split = leaf_split(root_tree(EdgeSet.of(host, host.edges), 0))
-    g2 = path(2)
-    tk = root_tree(EdgeSet.of(g2, g2.edges), 0)
-
-    plan = plan_cross_edges(tk, split, {1: KEEPS_FOREST})
-    entry = plan.entries[0]
-    assert [a % 7 for a, _ in entry.used] == [3, 4, 5, 6]   # at kept vertices
-    assert len(entry.used) == 4                             # ceil(7/2)
-    assert [a % 7 for a, _ in entry.leftover] == [0, 1, 2]
-
-    plan = plan_cross_edges(tk, split, {1: KEEPS_SUBTREE})
-    entry = plan.entries[0]
-    assert [a % 7 for a, _ in entry.used] == [0, 1, 2, 3]   # dropped + anchor
-    assert len(entry.used) == 4                             # floor(7/2)+1
-    assert [a % 7 for a, _ in entry.leftover] == [4, 5, 6]
+    g = path(3)
+    (backbone,) = pack_cartesian(
+        g, host, TreePacking(g, (EdgeSet.of(g, g.edges),)),
+        TreePacking(host, (EdgeSet.of(host, host.edges),))).trees
+    assert _rungs(backbone, 0, 1, 7) == [0, 1, 2, 3]   # dropped + anchor
+    assert _rungs(backbone, 1, 2, 7) == [3, 4, 5, 6]   # at kept vertices
 
 
 def test_plan_partitions_every_bundle():
-    g, h = complete(5), cycle(6)
-    tk = root_tree(spanning(g), 0)
-    split = leaf_split(root_tree(spanning(h), 0))
-    plan = plan_cross_edges(tk, split, default_assignment(tk))
+    # over each edge of the backbone's G-tree, H-tree j takes the j-th
+    # smallest rung the backbone leaves unused
+    g, h = complete(5), complete(6)
+    pg, ph = max_packing(g).packing, max_packing(h).packing
+    k, ell = len(pg.trees), len(ph.trees)
+    out = pack_cartesian(g, h, pg, ph)
     product = cartesian(g, h)
-    assert len(plan.entries) == g.n - 1
-    for entry in plan.entries:
-        rungs = set(product.rung_edges((entry.parent, entry.child)))
-        used, leftover = set(entry.used), set(entry.leftover)
-        assert used | leftover == rungs
-        assert not used & leftover
-
-
-def test_plan_requires_full_assignment():
-    g = path(3)
-    tk = root_tree(EdgeSet.of(g, g.edges), 0)
-    h = path(4)
-    split = leaf_split(root_tree(EdgeSet.of(h, h.edges), 0))
-    with pytest.raises(ContractError, match="assignment"):
-        plan_cross_edges(tk, split, {1: KEEPS_FOREST})
+    h_trees = out.trees[k - 1:-1]
+    assert len(h_trees) == ell - 1 == 2
+    tk = root_tree(pg.trees[-1], 0)
+    for parent, child in tk.edges_bfs():
+        rungs = product.matching_copy([(parent, child)], h.n)
+        leftover = [r for r in rungs if r not in out.trees[-1]]
+        assert [[r for r in rungs if r in t] for t in h_trees] == [
+            [r] for r in leftover[:ell - 1]]
 
 
 def test_build_hat_tree_small_and_counts():
     for g, h in [(path(2), path(2)), (path(3), path(3)), (complete(4), cycle(5))]:
-        product = cartesian(g, h)
-        tk = root_tree(spanning(g), 0)
-        t_ell = spanning(h)
-        split = leaf_split(root_tree(t_ell, 0))
-        assignment = default_assignment(tk)
-        plan = plan_cross_edges(tk, split, assignment)
-        hat = build_hat_tree(product, tk, t_ell, split, assignment, plan)
+        out = pack_cartesian(g, h, max_packing(g).packing, max_packing(h).packing)
+        hat = out.trees[-1]
         assert len(hat) == g.n * h.n - 1
-        assert verify_tree(product.graph, hat).overall
-
-
-def test_build_hat_tree_rejects_mismatched_split():
-    g, h = path(3), path(4)
-    product = cartesian(g, h)
-    tk = root_tree(spanning(g), 0)
-    t_ell = spanning(h)
-    assignment = default_assignment(tk)
-    plan = plan_cross_edges(tk, leaf_split(root_tree(t_ell, 0)), assignment)
-    other_tree = spanning(cycle(4))       # same size, different edges
-    wrong = leaf_split(root_tree(other_tree, 0))
-    with pytest.raises(ContractError, match="split"):
-        build_hat_tree(product, tk, t_ell, wrong, assignment, plan)
+        assert verify_tree(out.host, hat).overall
 
 
 def test_pack_cartesian_examples():

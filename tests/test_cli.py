@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,18 @@ def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
     ("p3lexk4", ["lex", "p3.graph", "k4.graph",
                  "--factor-packing", "p3.factor.json",
                  "--factor-packing", "k4.factor.json"]),
+    # balanced lex regime: every parallel subgraph meets one fiber copy
+    ("k4lexk4", ["lex", "k4.graph", "k4.graph",
+                 "--factor-packing", "k4.factor.json",
+                 "--factor-packing", "k4.factor.json"]),
+    # G-rich lex regime: a tree closed by a bundle's Hamiltonian cycles
+    ("k5lexp3", ["lex", "k5.graph", "p3.graph",
+                 "--factor-packing", "k5.factor.json",
+                 "--factor-packing", "p3.factor.json"]),
+    # k=3, l=2: a second-factor tree joined by leftover rungs
+    ("k6xk4", ["cartesian", "k6.graph", "k4.graph",
+               "--factor-packing", "k6.factor.json",
+               "--factor-packing", "k4.factor.json"]),
 ])
 def test_pack_and_verify_match_pinned_output(capsys, monkeypatch, tmp_path,
                                              name, argv):
@@ -217,6 +230,36 @@ def test_oversized_product_is_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, command, "lex", str(k2), str(p3000))
         assert code == 2 and out == ""
         assert "error: product would have 9005998 edges" in err
+
+
+def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
+    # the 'p' line is checked against the edge cap before anything is
+    # allocated per vertex
+    huge = tmp_path / "huge.txt"
+    huge.write_text("p 1000000000000 0\n")
+    packing = tmp_path / "pk.json"
+    packing.write_text('{"trees": [[]]}\n')
+    p3 = tmp_path / "p3.txt"
+    run(capsys, "gen", "path", "3", "--out", str(p3))
+    for argv in (["verify", str(huge), str(packing)],
+                 ["pack", "cartesian", str(huge), str(p3),
+                  "--factor-packing", str(packing)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: 'p 1000000000000 0' is above the cap")
+
+
+def test_gen_size_is_checked_before_building(capsys):
+    tracemalloc.start()
+    try:
+        for argv in (["gen", "hypercube", "40"], ["gen", "complete", "100000"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "more than 2000000" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_oracle_rejects_disconnected(capsys, tmp_path):

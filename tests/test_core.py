@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (EdgeSet, FamilySpec, Graph, ParameterError,
-                           ParseError, complete,
+import treepack
+from treepack.core import (MAX_EDGES, EdgeSet, FamilySpec, Graph,
+                           ParameterError, ParseError, SizeError, complete,
                            complete_minus_edge, complete_multipartite,
                            components, cycle, generate, hypercube,
                            normalize_edge, path, read_graph, write_graph,
@@ -67,6 +68,26 @@ def test_family_parameter_errors():
                 ("path", (1, 2))):
         with pytest.raises(ParameterError):
             generate(FamilySpec(bad[0], bad[1]))
+
+
+def test_edge_cap_checked_before_building():
+    # every family just past MAX_EDGES edges, and far past it
+    for kind, params in (("path", (MAX_EDGES + 2,)), ("cycle", (MAX_EDGES + 1,)),
+                         ("complete", (2001,)), ("complete_minus_edge", (2002,)),
+                         ("complete_multipartite", (2, 1415)),
+                         ("hypercube", (18,)), ("hypercube", (10 ** 9,))):
+        with pytest.raises(SizeError):
+            generate(FamilySpec(kind, params))
+    assert hypercube(17).m == 17 << 16 <= MAX_EDGES
+    for line in (f"p 3 {MAX_EDGES + 1}", f"p {MAX_EDGES + 2} 0"):
+        with pytest.raises(SizeError, match="line 1: .* above the cap"):
+            read_graph(line + "\n")
+    assert read_graph(f"p {MAX_EDGES + 1} 0\n").n == MAX_EDGES + 1
+
+
+def test_every_exported_name_resolves():
+    for name in treepack.__all__:
+        assert getattr(treepack, name, None) is not None, name
 
 
 def test_generate_matches_direct_builders():

@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepack.core import (ContractError, EdgeSet, ExtractionError, Graph,
-                           InputError, complete, components, cycle, path)
-from treepack.decomp import (extract_spanning_tree, leaf_split,
-                             matching_decomposition, parallel_subgraph_lex,
-                             root_tree)
-from treepack.products import cartesian, lexicographic
+                           complete, components, cycle, path)
+from treepack.decomp import extract_spanning_tree, leaf_split, root_tree
+from treepack.products import lexicographic
 
 
 def _tree(host: Graph) -> EdgeSet:
@@ -93,107 +93,112 @@ def test_leaf_split_invariants_random_trees():
         assert dropped <= sp.forest_vertices
 
 
+def _bundle(p, u: int, w: int) -> set:
+    """All product edges between the fibers above u and w."""
+    n2 = p.n2
+    return {(a, b) for a, b in p.graph.edges
+            if {a // n2, b // n2} == {u, w}}
+
+
 def test_matching_decomposition_structure():
-    md = matching_decomposition(4)
-    assert md.shifts == (1, 2, 3, 0)
-    assert md.identity_index == 4
-    assert md.cycle_count == 2
-    assert md.shift_of(4) == 0
-    with pytest.raises(InputError):
-        md.shift_of(0)
-    with pytest.raises(InputError):
-        md.shift_of(5)
-    assert matching_decomposition(1).shifts == (0,)
-    with pytest.raises(InputError):
-        matching_decomposition(0)
+    # matching j sends parent copy t to child copy (t + j) mod n2
+    p = lexicographic(path(2), complete(4))
+    for j, shift in zip(range(1, 5), (1, 2, 3, 0)):
+        assert p.matching_copy([(0, 1)], j) == [
+            (t, 4 + (t + shift) % 4) for t in range(4)]
+    # oriented the other way, the parent copies sit in the higher fiber
+    assert p.matching_copy([(1, 0)], 1) == [(1, 4), (2, 5), (3, 6), (0, 7)]
+    assert lexicographic(path(2), path(1)).matching_copy([(0, 1)], 1) == [(0, 1)]
 
 
 def test_matchings_partition_bundle():
     h = complete(4)
     p = lexicographic(path(2), h)
-    md = matching_decomposition(4)
     all_edges: set = set()
     for j in range(1, 5):
-        m = md.matching_edges(p, 0, 1, j)
+        m = p.matching_copy([(0, 1)], j)
         assert len(m) == 4
         ends = [v for e in m for v in e]
         assert len(set(ends)) == 8    # perfect matching
         assert not all_edges & set(m)
         all_edges.update(m)
-    assert all_edges == set(p.bundle((0, 1)).edges)
+    assert all_edges == _bundle(p, 0, 1)
 
 
 def test_identity_matching_is_cross_section():
     p = lexicographic(path(2), path(3))
-    md = matching_decomposition(3)
-    m = md.matching_edges(p, 0, 1, md.identity_index)
-    assert set(m) == {(0, 3), (1, 4), (2, 5)}
+    assert set(p.matching_copy([(0, 1)], 3)) == {(0, 3), (1, 4), (2, 5)}
+    assert (p.matching_copy([(0, 1)], 3)
+            == p.cross_section_copy([(0, 1)], 0)
+            + p.cross_section_copy([(0, 1)], 1)
+            + p.cross_section_copy([(0, 1)], 2))
+
+
+def _is_one_cycle(edges, length: int) -> bool:
+    """The edges form a single cycle through ``length`` vertices."""
+    verts = {v for e in edges for v in e}
+    if len(edges) != length or len(verts) != length:
+        return False
+    deg: dict = {}
+    for a, b in edges:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+    packed = {v: i for i, v in enumerate(sorted(verts))}
+    comp = components(len(packed), [(packed[a], packed[b]) for a, b in edges])
+    return all(d == 2 for d in deg.values()) and len(comp) == 1
 
 
 def test_perfect_cycles_cover_even_bundle():
     r = 6
     p = lexicographic(path(2), path(r))
-    md = matching_decomposition(r)
     seen: set = set()
-    for idx in range(1, md.cycle_count + 1):
-        cyc = md.cycle_edges(p, 0, 1, idx)
-        assert len(cyc) == 2 * r
-        verts = {v for e in cyc for v in e}
-        assert len(verts) == 2 * r
-        deg: dict = {}
-        for a, b in cyc:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        assert all(d == 2 for d in deg.values())
-        packed = {v: i for i, v in enumerate(sorted(verts))}
-        comp = components(len(packed), [(packed[a], packed[b]) for a, b in cyc])
-        assert len(comp) == 1         # one Hamiltonian cycle
+    for idx in range(1, r // 2 + 1):
+        cyc = (p.matching_copy([(0, 1)], 2 * idx - 1)
+               + p.matching_copy([(0, 1)], 2 * idx))
+        assert _is_one_cycle(cyc, 2 * r)   # one Hamiltonian cycle
         assert not seen & set(cyc)
         seen.update(cyc)
-    assert seen == set(p.bundle((0, 1)).edges)
+    assert seen == _bundle(p, 0, 1)
 
 
-def test_cycle_index_bounds():
-    p = lexicographic(path(2), path(5))
-    md = matching_decomposition(5)
-    with pytest.raises(InputError):
-        md.cycle_edges(p, 0, 1, 3)
-    with pytest.raises(InputError):
-        md.matching_edges(p, 0, 2, 1)   # not a factor edge
-    with pytest.raises(InputError):
-        md.matching_edges(cartesian(path(2), path(5)), 0, 1, 1)
-    with pytest.raises(ContractError):
-        matching_decomposition(4).matching_edges(p, 0, 1, 1)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.booleans())
+def test_bundle_matchings_any_size(n2, flip):
+    """Matchings 1..n2 partition the bundle, (2r-1, 2r) is one 2*n2-cycle and
+    matching n2 is the identity, whichever fiber is the parent."""
+    p = lexicographic(path(2), path(n2))
+    e = (1, 0) if flip else (0, 1)
+    matchings = [p.matching_copy([e], j) for j in range(1, n2 + 1)]
+    union = [x for m in matchings for x in m]
+    assert len(union) == len(set(union)) == n2 * n2
+    assert set(union) == _bundle(p, 0, 1)
+    for m in matchings:
+        assert len({v for x in m for v in x}) == 2 * n2   # perfect matching
+    assert set(matchings[-1]) == {(t, n2 + t) for t in range(n2)}
+    if n2 >= 2:
+        for r in range(1, n2 // 2 + 1):
+            assert _is_one_cycle(matchings[2 * r - 2] + matchings[2 * r - 1],
+                                 2 * n2)
 
 
 def test_parallel_subgraph_lex_components():
+    """Parallel subgraph (t, j): matching j over every bundle of tree t,
+    oriented from root 0, as pack_lex takes it."""
     g, h = path(3), complete(4)
     p = lexicographic(g, h)
-    t = EdgeSet.of(g, g.edges)
+    oriented = list(root_tree(EdgeSet.of(g, g.edges), 0).edges_bfs())
     for j in range(1, 5):
-        ps = parallel_subgraph_lex(p, t, j)
-        assert len(ps.edges) == (g.n - 1) * h.n
-        comps = components(p.graph.n, ps.edges)
+        ps = p.matching_copy(oriented, j)
+        assert len(ps) == (g.n - 1) * h.n
+        comps = components(p.graph.n, ps)
         assert len(comps) == h.n
         for comp in comps:
             assert len(comp) == g.n
             # one vertex per fiber
             assert sorted(v // h.n for v in comp) == list(range(g.n))
-    union = {e for j in range(1, 5)
-             for e in parallel_subgraph_lex(p, t, j).edges}
+    union = {e for j in range(1, 5) for e in p.matching_copy(oriented, j)}
     fiber_edges = {e for u in range(g.n) for e in p.fiber_copy(h.edges, u)}
     assert union == p.graph.edge_set - fiber_edges
-
-
-def test_parallel_subgraph_lex_errors():
-    p = lexicographic(path(3), path(2))
-    t = EdgeSet.of(path(3), path(3).edges)
-    with pytest.raises(InputError):
-        parallel_subgraph_lex(p, t, 0)
-    with pytest.raises(InputError):
-        parallel_subgraph_lex(cartesian(path(3), path(2)), t, 1)
-    with pytest.raises(ContractError):
-        parallel_subgraph_lex(p, EdgeSet.of(path(3), [(0, 1)]), 1)
 
 
 def test_extract_spanning_tree():

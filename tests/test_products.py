@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from treepack.core import (Graph, InputError, ParseError, SizeError, complete,
                            cycle, path, read_graph, write_graph)
-from treepack.products import (Bundle, ProductGraph, cartesian, lexicographic,
-                               read_product, write_product,
-                               UnsupportedOperationError)
+from treepack.products import (ProductGraph, cartesian, lexicographic,
+                               read_product, write_product)
 
 
 def test_cartesian_small():
@@ -34,7 +33,7 @@ def test_cartesian_degree_law():
     p = cartesian(g, h)
     for u in range(g.n):
         for v in range(h.n):
-            assert p.graph.degree(p.flat(u, v)) == g.degree(u) + h.degree(v)
+            assert p.graph.degree(u * h.n + v) == g.degree(u) + h.degree(v)
 
 
 def test_lexicographic_sizes_and_degrees():
@@ -46,7 +45,7 @@ def test_lexicographic_sizes_and_degrees():
     for u in range(g.n):
         for v in range(h.n):
             want = h.n * g.degree(u) + h.degree(v)
-            assert p.graph.degree(p.flat(u, v)) == want
+            assert p.graph.degree(u * h.n + v) == want
 
 
 def test_lexicographic_not_commutative():
@@ -57,33 +56,33 @@ def test_lexicographic_not_commutative():
 
 def test_fiber_and_cross_section():
     p = cartesian(path(3), cycle(4))
-    assert p.fiber(1) == (4, 5, 6, 7)
+    assert p.fiber_copy(p.factor_h.edges, 1) == [(4, 5), (4, 7), (5, 6), (6, 7)]
     assert set(p.fiber_copy(p.factor_h.edges, 1)) <= p.graph.edge_set
-    assert p.cross_section(2) == (2, 6, 10)
+    assert p.cross_section_copy(p.factor_g.edges, 2) == [(2, 6), (6, 10)]
     assert set(p.cross_section_copy(p.factor_g.edges, 0)) == {(0, 4), (4, 8)}
 
 
+def _cross_edges(p: ProductGraph) -> set:
+    return {(a, b) for a, b in p.graph.edges if a // p.n2 != b // p.n2}
+
+
 def test_rung_edges_cartesian_only():
+    # the cartesian rungs over a factor edge are its identity matching, and
+    # no other matching is present
     p = cartesian(path(2), path(3))
-    assert p.rung_edges((0, 1)) == ((0, 3), (1, 4), (2, 5))
-    with pytest.raises(InputError):
-        p.rung_edges((0, 2))
-    lex = lexicographic(path(2), path(3))
-    with pytest.raises(UnsupportedOperationError):
-        lex.rung_edges((0, 1))
+    for e in ((0, 1), (1, 0)):
+        assert p.matching_copy([e], 3) == [(0, 3), (1, 4), (2, 5)]
+        assert not set(p.matching_copy([e], 1)) & p.graph.edge_set
+    assert _cross_edges(p) == {(0, 3), (1, 4), (2, 5)}
 
 
 def test_bundle_lex_only():
+    # a lexicographic bundle is the union of all n2 matchings over its edge
     p = lexicographic(path(2), path(2))
-    b = p.bundle((1, 0))
-    assert isinstance(b, Bundle)
-    assert b.g_edge == (0, 1)
-    assert b.left == (0, 1) and b.right == (2, 3)
-    assert set(b.edges) == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    with pytest.raises(UnsupportedOperationError):
-        cartesian(path(2), path(2)).bundle((0, 1))
-    with pytest.raises(InputError):
-        p.bundle((0, 0))
+    bundle = {e for j in (1, 2) for e in p.matching_copy([(1, 0)], j)}
+    assert bundle == {(0, 2), (0, 3), (1, 2), (1, 3)} == _cross_edges(p)
+    q = cartesian(path(2), path(2))
+    assert _cross_edges(q) == set(q.matching_copy([(1, 0)], 2))
 
 
 def test_factors_must_be_connected():
