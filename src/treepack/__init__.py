@@ -6,8 +6,7 @@ numbers with partition certificates, and verify everything structurally.
 """
 
 from .cartesian import cartesian_bound, pack_cartesian
-from .catalogue import (proposition_graph, proposition_value,
-                        verify_proposition_row)
+from .catalogue import proposition_value
 from .core import (ConstructionError, ContractError, Edge, EdgeSet,
                    ExtractionError, FamilySpec, Graph, InputError,
                    ParameterError, ParseError, SizeError, TreePacking,
@@ -16,11 +15,9 @@ from .core import (ConstructionError, ContractError, Edge, EdgeSet,
 from .decomp import (LeafSplit, RootedTree, extract_spanning_tree, leaf_split,
                      root_tree)
 from .lex import LexPlan, lex_bound, lex_plan, pack_lex
-from .oracle import (OracleResult, TutteCertificate, edge_bound, max_packing,
-                     tutte_bruteforce)
-from .products import (ProductGraph, cartesian, lexicographic, read_product,
-                       write_product)
-from .verify import Check, VerificationReport, verify_packing, verify_tree
+from .oracle import OracleResult, TutteCertificate, max_packing
+from .products import ProductGraph, cartesian, lexicographic, write_product
+from .verify import Check, VerificationReport, verify_packing
 
 __version__ = "0.1.0"
 
@@ -30,11 +27,9 @@ __all__ = [
     "LexPlan", "OracleResult", "ParameterError", "ParseError", "ProductGraph",
     "RootedTree", "SizeError", "TreePacking", "TutteCertificate",
     "VerificationReport", "cartesian", "cartesian_bound", "complete",
-    "complete_minus_edge", "complete_multipartite", "cycle", "edge_bound",
+    "complete_minus_edge", "complete_multipartite", "cycle",
     "extract_spanning_tree", "generate", "hypercube", "leaf_split",
     "lex_bound", "lex_plan", "lexicographic", "max_packing", "pack_cartesian",
-    "pack_lex", "path", "proposition_graph", "proposition_value",
-    "read_graph", "read_product", "root_tree", "tutte_bruteforce",
-    "verify_packing", "verify_proposition_row", "verify_tree", "write_graph",
-    "write_product",
+    "pack_lex", "path", "proposition_value", "read_graph", "root_tree",
+    "verify_packing", "write_graph", "write_product",
 ]

@@ -39,9 +39,9 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     product = cartesian(g, h)
 
     n2 = h.n
-    tk = root_tree(pack_g.trees[-1], 0)
+    tk = root_tree(pack_g.trees[-1])
     t_ell = pack_h.trees[-1]
-    split = leaf_split(root_tree(t_ell, 0))
+    split = leaf_split(t_ell)
     # the first floor((n1-1)/2) child fibers, breadth-first, keep the split's
     # subtree copy; the rest, the odd fiber out included, keep its forest
     children = tk.order[1:]
@@ -55,7 +55,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     kept = sorted(split.subtree_vertices)
     forest_rungs = set(kept)
     subtree_rungs = set(range(n2)) - set(kept[1:])
-    backbone = product.fiber_copy(t_ell, tk.root)
+    backbone = product.fiber_copy(t_ell, 0)   # the root fiber keeps all of t_ell
     leftover: list[list[Edge]] = []   # per bundle, ascending second coordinate
     for idx, (parent, child) in enumerate(tk.edges_bfs()):
         keeps_subtree = idx < cut

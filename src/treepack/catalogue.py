@@ -9,42 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Graph, SizeError, complete, complete_multipartite, cycle,
-                   hypercube, path)
-from .oracle import max_packing
-from .products import CARTESIAN, LEXICOGRAPHIC, cartesian
-from .verify import Check, VerificationReport
+from .core import (Graph, complete, complete_multipartite, cycle, hypercube,
+                   path)
+from .products import CARTESIAN, LEXICOGRAPHIC
 
 # Closed forms for packing numbers of the seven catalogued families.
 # Rows: 1 K_n x C_m, 2 K_n x K_m, 3 hypercube Q_n, 4 K_{n(m)} x K_r,
 # 5 K_{n(m)} x C_r, 6 K_{n(m)} x K_{r(t)}, 7 K_{n(m)} alone.
 # All products are cartesian.
-
-
-def proposition_graph(row: int, params: tuple[int, ...]) -> Graph:
-    if row == 1:
-        n, m = params
-        return cartesian(complete(n), cycle(m)).graph
-    if row == 2:
-        n, m = params
-        return cartesian(complete(n), complete(m)).graph
-    if row == 3:
-        (n,) = params
-        return hypercube(n)
-    if row == 4:
-        n, m, r = params
-        return cartesian(complete_multipartite(n, m), complete(r)).graph
-    if row == 5:
-        n, m, r = params
-        return cartesian(complete_multipartite(n, m), cycle(r)).graph
-    if row == 6:
-        n, m, r, t = params
-        return cartesian(complete_multipartite(n, m),
-                         complete_multipartite(r, t)).graph
-    if row == 7:
-        n, m = params
-        return complete_multipartite(n, m)
-    raise ValueError(f"row must be 1..7, got {row}")
 
 
 def proposition_value(row: int, params: tuple[int, ...]) -> int:
@@ -78,21 +50,6 @@ def proposition_value(row: int, params: tuple[int, ...]) -> int:
             raise ValueError("row 7 requires m >= 2")
         return m * (n - 1) // 2
     raise ValueError(f"row must be 1..7, got {row}")
-
-
-def verify_proposition_row(row: int, params: tuple[int, ...]) -> VerificationReport:
-    """Check one catalogued closed form against the exact oracle."""
-    value = proposition_value(row, params)
-    g = proposition_graph(row, params)
-    if g.n > 64:
-        raise SizeError(f"row {row}{params} has {g.n} > 64 vertices")
-    result = max_packing(g)
-    ok = result.sigma == value
-    checks = (
-        Check(f"row {row} params {params}: oracle sigma equals closed form {value}",
-              ok, None if ok else f"oracle found {result.sigma}"),
-    )
-    return VerificationReport(f"closed form row {row} {params}", checks)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .products import (CARTESIAN, LEXICOGRAPHIC, ProductGraph, cartesian,
 from .verify import verify_packing
 
 USAGE_ERRORS = (ParameterError, ParseError, InputError, ContractError,
-                SizeError, OSError, json.JSONDecodeError)
+                SizeError, OSError)
 
 FAMILY_CLI_NAMES = {
     "path": "path",
@@ -62,9 +62,12 @@ def _write_out(path_: str, text: str) -> None:
         fh.write(text)
 
 
-def _read_graph_file(path_: str) -> Graph:
+def _read_text(path_: str) -> str:
     with open(path_, "r", encoding="utf-8") as fh:
-        return read_graph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path_}: not UTF-8 text ({exc.reason})") from None
 
 
 def _graph_record(g: Graph) -> dict[str, Any]:
@@ -84,8 +87,13 @@ def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
 
 def _load_packing(path_: str, host: Graph) -> TreePacking:
     """Check a packing file's shape only: ``pack_*`` and ``verify`` check its trees."""
-    with open(path_, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+    text = _read_text(path_)
+    try:
+        record = json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{path_}: JSON nested too deeply") from None
+    except ValueError as exc:   # not JSON, or an integer past int()'s digit limit
+        raise ParseError(f"{path_}: {exc}") from None
     if not isinstance(record, dict) or not isinstance(record.get("trees"), list):
         raise ParseError(f"{path_}: packing needs a \"trees\" list")
     trees = []
@@ -121,8 +129,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.fileG)
-    h = _read_graph_file(args.fileH)
+    g = read_graph(_read_text(args.fileG))
+    h = read_graph(_read_text(args.fileH))
     p = cartesian(g, h) if args.kind == CARTESIAN else lexicographic(g, h)
     text = write_product(p)
     if args.out:
@@ -160,8 +168,8 @@ def _oracle_packing(g: Graph) -> TreePacking:
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.fileG)
-    h = _read_graph_file(args.fileH)
+    g = read_graph(_read_text(args.fileG))
+    h = read_graph(_read_text(args.fileH))
     pg, ph = _factor_packings(args, g, h)
     if args.kind == CARTESIAN:
         packed = pack_cartesian(g, h, pg, ph)
@@ -193,7 +201,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.file)
+    g = read_graph(_read_text(args.file))
     result = max_packing(g)
     verified = verify_packing(g, result.packing).overall
     record = {
@@ -225,7 +233,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.graphfile)
+    g = read_graph(_read_text(args.graphfile))
     packing = _load_packing(args.packingfile, g)
     report = verify_packing(g, packing)
     if args.format == "text":

@@ -57,10 +57,6 @@ def normalize_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def sort_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
-
-
 def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
     """Connected components of (0..n-1, edges), singletons included.
 
@@ -94,16 +90,14 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` is a sorted tuple of (min, max) pairs with no loops and no
-    duplicates.  ``labels`` are display-only and never affect algorithms.
+    duplicates.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    labels: tuple[str, ...] | None = None
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge],
-                   labels: Sequence[str] | None = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
         norm = []
@@ -117,9 +111,7 @@ class Graph:
         for e, f in zip(ordered, ordered[1:]):
             if e == f:
                 raise ParameterError(f"duplicate edge {e}")
-        if labels is not None and len(labels) != n:
-            raise ParameterError("label count must equal vertex count")
-        return cls(n, ordered, tuple(labels) if labels is not None else None)
+        return cls(n, ordered)
 
     @property
     def m(self) -> int:
@@ -129,29 +121,12 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return tuple(tuple(sorted(nb)) for nb in adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return normalize_edge(a, b) in self.edge_set
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return components(self.n, self.edges)
-
     def is_connected(self) -> bool:
         # fewer than n-1 edges cannot connect n vertices: decide before
         # components() allocates O(n)
         if self.m < self.n - 1:
             return False
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(components(self.n, self.edges)) == 1
 
 
 @dataclass(frozen=True)
@@ -163,7 +138,7 @@ class EdgeSet:
 
     @classmethod
     def of(cls, host: Graph, edges: Iterable[Edge]) -> "EdgeSet":
-        ordered = sort_edges(edges)
+        ordered = tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
         members = set(ordered)
         if len(members) != len(ordered) or not host.edge_set.issuperset(members):
             # name the first offender in sorted order
@@ -180,16 +155,6 @@ class EdgeSet:
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return normalize_edge(*edge) in self.member_set
-
-    @cached_property
-    def member_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
 
     def is_spanning_tree(self) -> bool:
         n = self.host.n
@@ -209,9 +174,6 @@ class TreePacking:
     host: Graph
     trees: tuple[EdgeSet, ...]
     method: str = "user"
-
-    def __len__(self) -> int:
-        return len(self.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +223,7 @@ def complete_multipartite(parts: int, size: int) -> Graph:
 
 
 def hypercube(dim: int) -> Graph:
-    """The dim-dimensional hypercube; vertex v carries the binary code of v."""
+    """The dim-dimensional hypercube: v ~ w iff v and w differ in one bit."""
     if dim < 1:
         raise ParameterError(f"hypercube requires dimension >= 1, got {dim}")
     if dim > 64:   # the exact edge count would be a dim-bit integer
@@ -269,8 +231,7 @@ def hypercube(dim: int) -> Graph:
     check_edge_count(dim << (dim - 1))
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
-    labels = [format(v, f"0{dim}b") for v in range(n)]
-    return Graph.from_edges(n, edges, labels)
+    return Graph.from_edges(n, edges)
 
 
 def complete_minus_edge(n: int) -> Graph:
@@ -311,6 +272,7 @@ def generate(spec: FamilySpec) -> Graph:
 #   optional '#' comment lines and blanks, then
 #   p <n> <m>
 #   m lines: e <a> <b> with 0 <= a < b < n
+# where every number is written in ASCII decimal digits
 
 def write_graph(g: Graph, header_comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in header_comments]
@@ -319,12 +281,19 @@ def write_graph(g: Graph, header_comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_decimal(text: str) -> bool:
+    """False if text holds a '+', '_' or non-ASCII digit that int() would take."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def read_graph(text: str) -> Graph:
     """Parse edge-list text; each line is checked once, as it is read."""
     n = None
     m = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
+    # only a text that holds a suspect character has its lines checked
+    suspect = not _ascii_decimal(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -335,6 +304,8 @@ def read_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'e <a> <b>'")
             try:
+                if suspect and not _ascii_decimal(raw):
+                    raise ValueError
                 e = a, b = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer endpoint") from None
@@ -357,6 +328,8 @@ def read_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
             try:
+                if suspect and not _ascii_decimal(raw):
+                    raise ValueError
                 n, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer in 'p' line") from None

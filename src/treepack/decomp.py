@@ -17,12 +17,10 @@ from .core import (ContractError, Edge, EdgeSet, ExtractionError, Graph,
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A spanning tree with a root, parent pointers, and breadth-first order."""
+    """A spanning tree rooted at vertex 0: parent pointers and breadth-first order."""
 
-    tree: EdgeSet
-    root: int
-    parent: tuple[int, ...]   # parent[root] == root
-    order: tuple[int, ...]    # breadth-first discovery order, order[0] == root
+    parent: tuple[int, ...]   # parent[0] == 0
+    order: tuple[int, ...]    # breadth-first discovery order, order[0] == 0
 
     def edges_bfs(self) -> Iterator[tuple[int, int]]:
         """Tree edges as (parent, child), in child discovery order."""
@@ -30,17 +28,17 @@ class RootedTree:
             yield self.parent[v], v
 
 
-def _bfs(n: int, edges: EdgeSet, root: int) -> tuple[list[int], list[int]]:
+def _bfs(n: int, edges: EdgeSet) -> tuple[list[int], list[int]]:
     """Parent pointers (-1: unreached) and discovery order of a breadth-first
-    search from root that scans neighbors in ascending order."""
+    search from vertex 0 that scans neighbors in ascending order."""
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    queue = deque([root])
+    parent[0] = 0
+    order = [0]
+    queue = deque([0])
     while queue:
         v = queue.popleft()
         for w in sorted(adj[v]):
@@ -51,39 +49,35 @@ def _bfs(n: int, edges: EdgeSet, root: int) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def root_tree(tree: EdgeSet, root: int = 0) -> RootedTree:
+def root_tree(tree: EdgeSet) -> RootedTree:
     n = tree.host.n
-    if not 0 <= root < n:
-        raise ContractError(f"root {root} out of range for n={n}")
     if not tree.is_spanning_tree():
         raise ContractError("input is not a spanning tree of its host")
-    parent, order = _bfs(n, tree, root)
-    return RootedTree(tree, root, tuple(parent), tuple(order))
+    parent, order = _bfs(n, tree)
+    return RootedTree(tuple(parent), tuple(order))
 
 
 @dataclass(frozen=True)
 class LeafSplit:
     """A spanning tree cut into a kept subtree and the deleted leaf forest.
 
-    ``subtree_vertices`` has ceil(n/2) members; ``forest_vertices`` holds only
-    endpoints of deleted edges.  Each forest component touches the subtree in
-    exactly one vertex, its attachment root.
+    ``subtree_vertices`` has ceil(n/2) members.  Each forest component
+    touches the subtree in exactly one vertex, its attachment root.
     """
 
-    source: EdgeSet
     subtree: EdgeSet
     subtree_vertices: frozenset[int]
     forest: EdgeSet
-    forest_vertices: frozenset[int]
 
 
-def leaf_split(rt: RootedTree) -> LeafSplit:
+def leaf_split(tree: EdgeSet) -> LeafSplit:
     """Delete leaves until ceil(n/2) vertices remain.
 
     Deterministic: each step removes the current leaf with the smallest
-    vertex index.  The root enjoys no protection.
+    vertex index.
     """
-    tree = rt.tree
+    if not tree.is_spanning_tree():
+        raise ContractError("input is not a spanning tree of its host")
     n = tree.host.n
     target = (n + 1) // 2
     degree: dict[int, int] = {v: 0 for v in range(n)}
@@ -108,7 +102,7 @@ def leaf_split(rt: RootedTree) -> LeafSplit:
     gone = set(deleted)
     subtree = EdgeSet.of(tree.host, tuple(e for e in tree if e not in gone))
     forest = EdgeSet.of(tree.host, deleted)
-    return LeafSplit(tree, subtree, frozenset(alive), forest, forest.vertices())
+    return LeafSplit(subtree, frozenset(alive), forest)
 
 
 def extract_spanning_tree(host: Graph, sub: EdgeSet) -> EdgeSet:
@@ -117,7 +111,7 @@ def extract_spanning_tree(host: Graph, sub: EdgeSet) -> EdgeSet:
     Deterministic: search starts at vertex 0 and scans neighbors in ascending
     order, so the same input always yields the same tree.
     """
-    parent, order = _bfs(host.n, sub, 0)
+    parent, order = _bfs(host.n, sub)
     if len(order) < host.n:
         v = parent.index(-1)
         raise ExtractionError(

@@ -32,10 +32,6 @@ class LexPlan:
     """Case selection and resource budget for one product packing."""
 
     case: str
-    k: int
-    ell: int
-    n1: int
-    n2: int
     x: int
     tree_count: int
 
@@ -50,12 +46,12 @@ def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
     if min(k, ell, n1, n2) < 1:
         raise InputError("k, ell, n1, n2 must all be >= 1")
     if ell * n1 == k * n2:
-        return LexPlan(BALANCED, k, ell, n1, n2, 0, k * n2)
+        return LexPlan(BALANCED, 0, k * n2)
     if ell * n1 > k * n2:
         x = _ceil_div(k * n2 - 1, n1)
-        return LexPlan(H_RICH, k, ell, n1, n2, x, k * n2 - x + ell - 1)
+        return LexPlan(H_RICH, x, k * n2 - x + ell - 1)
     x = _ceil_div(k * n2 - 1, n1 + 1)
-    return LexPlan(G_RICH, k, ell, n1, n2, x, k * n2 - 2 * x + ell - 1)
+    return LexPlan(G_RICH, x, k * n2 - 2 * x + ell - 1)
 
 
 def lex_bound(k: int, ell: int, n1: int, n2: int) -> tuple[str, int]:
@@ -81,7 +77,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # (i, j) is matching_copy(oriented[i], j): n2 components, each meeting
     # every fiber once; this orientation makes the n2 subgraphs of one tree
     # edge-disjoint.
-    oriented = [list(root_tree(t, 0).edges_bfs()) for t in pack_g.trees]
+    oriented = [list(root_tree(t).edges_bfs()) for t in pack_g.trees]
 
     def make_tree(edges: list[Edge]) -> EdgeSet:
         # (min, max) copies of checked factor trees: the verify_packing

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
-                   SizeError, TreePacking)
+                   TreePacking)
 
 Label = tuple[Edge, int]
 
@@ -42,13 +42,6 @@ class OracleResult:
     sigma: int
     packing: TreePacking
     certificate: TutteCertificate
-
-
-def edge_bound(g: Graph) -> int:
-    """floor(m / (n-1)): no packing can use more edges than the graph has."""
-    if g.n < 2:
-        raise InputError(f"edge bound needs n >= 2, got n={g.n}")
-    return g.m // (g.n - 1)
 
 
 def _find(parent: list[int], v: int) -> int:
@@ -233,49 +226,3 @@ def _terminal_certificate(g: Graph, clump: list[int],
             f"internal: certificate bound {bound} disagrees with sigma {sigma}")
     return TutteCertificate(partition, crossing, bound)
 
-
-def tutte_bruteforce(g: Graph) -> TutteCertificate:
-    """Minimize floor(crossing / (blocks-1)) over every vertex partition.
-
-    Exhaustive (Bell-number many partitions), so n is capped at 12.  Ties go
-    to the first partition met in restricted-growth-string order.
-    """
-    n = g.n
-    if n > 12:
-        raise SizeError(f"exhaustive partition search capped at n=12, got n={n}")
-    if n < 2:
-        raise InputError(f"partition bound needs n >= 2, got n={n}")
-    edges = g.edges
-    best_bound = None
-    best_key = None
-    a = [0] * n
-    b = [0] * n
-    while True:
-        parts = max(a) + 1
-        if parts >= 2:
-            crossing = 0
-            for u, v in edges:
-                if a[u] != a[v]:
-                    crossing += 1
-            bound = crossing // (parts - 1)
-            if best_bound is None or bound < best_bound:
-                best_bound = bound
-                best_key = (tuple(a), crossing, parts)
-        j = n - 1
-        while j >= 1 and a[j] > b[j]:
-            j -= 1
-        if j < 1:
-            break
-        a[j] += 1
-        prev = max(b[j], a[j])
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = prev
-    if best_key is None:
-        raise ConstructionError("internal: no partition with two blocks")
-    labels, crossing, parts = best_key
-    grouped: list[list[int]] = [[] for _ in range(parts)]
-    for v, lab in enumerate(labels):
-        grouped[lab].append(v)
-    partition = tuple(tuple(sorted(blk)) for blk in grouped)
-    return TutteCertificate(partition, crossing, best_bound)

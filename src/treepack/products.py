@@ -8,10 +8,9 @@ occupies a contiguous index block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import (Edge, Graph, InputError, ParseError, check_edge_count,
-                   read_graph, sort_edges, write_graph)
+from .core import Edge, Graph, InputError, check_edge_count, write_graph
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
@@ -105,59 +104,6 @@ def lexicographic(g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(LEXICOGRAPHIC, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
 
 
-def write_product(p: ProductGraph, header_comments: Sequence[str] = ()) -> str:
+def write_product(p: ProductGraph) -> str:
     """Edge-list text with a '# product' header recording kind and fiber sizes."""
-    head = [f"product {p.kind} n1={p.n1} n2={p.n2}"]
-    head.extend(header_comments)
-    return write_graph(p.graph, head)
-
-
-def read_product(text: str) -> ProductGraph:
-    """Parse product edge-list text, reconstructing both factors.
-
-    The first factor is read off the fiber-0 cross edges and the second off
-    fiber 0 itself; the product is then rebuilt from the factors and must
-    reproduce the stored edge set exactly.
-    """
-    kind = None
-    n1 = n2 = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line.startswith("#"):
-            continue
-        parts = line[1:].split()
-        if len(parts) >= 1 and parts[0] == "product":
-            if len(parts) != 4:
-                raise ParseError(
-                    f"line {lineno}: expected '# product <kind> n1=<n> n2=<n>'")
-            kind = parts[1]
-            if kind not in (CARTESIAN, LEXICOGRAPHIC):
-                raise ParseError(f"line {lineno}: unknown product kind {kind!r}")
-            try:
-                if not parts[2].startswith("n1=") or not parts[3].startswith("n2="):
-                    raise ValueError
-                n1 = int(parts[2][3:])
-                n2 = int(parts[3][3:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad n1=/n2= fields") from None
-            break
-    if kind is None or n1 is None or n2 is None:
-        raise ParseError("missing '# product <kind> n1=<n> n2=<n>' header")
-    graph = read_graph(text)
-    if graph.n != n1 * n2:
-        raise ParseError(f"header promises {n1}*{n2} vertices, graph has {graph.n}")
-    if n1 < 1 or n2 < 1:
-        raise ParseError("factor sizes must be positive")
-
-    h_edges = [(a, b) for a, b in graph.edges if a < n2 and b < n2]
-    h = Graph.from_edges(n2, h_edges)
-    g_edges = {(a // n2, b // n2) for a, b in graph.edges if a // n2 != b // n2}
-    g = Graph.from_edges(n1, sort_edges(g_edges))
-
-    try:
-        rebuilt = cartesian(g, h) if kind == CARTESIAN else lexicographic(g, h)
-    except InputError as exc:
-        raise ParseError(f"declared product: {exc}") from None
-    if rebuilt.graph.edges != graph.edges:
-        raise ParseError("edge list is not the declared product of its factors")
-    return rebuilt
+    return write_graph(p.graph, [f"product {p.kind} n1={p.n1} n2={p.n2}"])

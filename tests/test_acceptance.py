@@ -19,12 +19,12 @@ from treepack import (
     pack_lex,
     path,
     proposition_value,
-    tutte_bruteforce,
     verify_packing,
-    verify_proposition_row,
 )
 from treepack.cli import main as cli_main
 from treepack.core import Graph
+
+from reference import tutte_bruteforce, verify_proposition_row
 
 
 def _report(num: int, desc: str, fn) -> None:

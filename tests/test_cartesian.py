@@ -9,7 +9,7 @@ from treepack.core import (ConstructionError, ContractError, EdgeSet, Graph,
 from treepack.decomp import leaf_split, root_tree
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import verify_packing, verify_tree
+from treepack.verify import verify_packing
 
 
 def spanning(g: Graph) -> EdgeSet:
@@ -42,9 +42,9 @@ def test_default_assignment_counts():
     g, h = complete(6), cycle(5)
     pg, ph = max_packing(g).packing, max_packing(h).packing
     backbone = pack_cartesian(g, h, pg, ph).trees[-1]
-    tk = root_tree(pg.trees[-1], 0)
-    split = leaf_split(root_tree(ph.trees[-1], 0))
-    assert _fiber_part(backbone, tk.root, h.n) == set(ph.trees[-1].edges)
+    tk = root_tree(pg.trees[-1])
+    split = leaf_split(ph.trees[-1])
+    assert _fiber_part(backbone, 0, h.n) == set(ph.trees[-1].edges)
     parts = [_fiber_part(backbone, f, h.n) for f in tk.order[1:]]
     assert parts == [set(split.subtree.edges)] * 2 + [set(split.forest.edges)] * 3
 
@@ -71,11 +71,11 @@ def test_plan_partitions_every_bundle():
     product = cartesian(g, h)
     h_trees = out.trees[k - 1:-1]
     assert len(h_trees) == ell - 1 == 2
-    tk = root_tree(pg.trees[-1], 0)
+    tk = root_tree(pg.trees[-1])
     for parent, child in tk.edges_bfs():
         rungs = product.matching_copy([(parent, child)], h.n)
-        leftover = [r for r in rungs if r not in out.trees[-1]]
-        assert [[r for r in rungs if r in t] for t in h_trees] == [
+        leftover = [r for r in rungs if r not in out.trees[-1].edges]
+        assert [[r for r in rungs if r in t.edges] for t in h_trees] == [
             [r] for r in leftover[:ell - 1]]
 
 
@@ -84,7 +84,7 @@ def test_build_hat_tree_small_and_counts():
         out = pack_cartesian(g, h, max_packing(g).packing, max_packing(h).packing)
         hat = out.trees[-1]
         assert len(hat) == g.n * h.n - 1
-        assert verify_tree(out.host, hat).overall
+        assert verify_packing(out.host, TreePacking(out.host, (hat,))).overall
 
 
 def test_pack_cartesian_examples():

@@ -1,10 +1,17 @@
+import io
 import json
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treepack.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -114,6 +121,63 @@ def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem
     assert "error:" in err and problem in err
 
 
+@pytest.mark.parametrize("command, graph, packing, needle", [
+    ("verify", b"\xff\xfep 2 1\ne 0 1\n", None, "g.txt: not UTF-8 text"),
+    ("oracle", b"p 2 1\ne 0 \xff\n", None, "g.txt: not UTF-8 text"),
+    ("verify", None, b'{"trees": [[[0, 1]]]}\xff', "pk.json: not UTF-8 text"),
+    ("verify", None, b"[" * 200_000, "pk.json: JSON nested too deeply"),
+    ("verify", None, b"[[[0, " + b"1" * 5000 + b"]]]", "pk.json: Exceeds the limit"),
+], ids=["graph-not-utf8", "oracle-not-utf8", "packing-not-utf8", "deep-json",
+        "long-integer"])
+def test_hostile_files_are_usage_errors(capsys, tmp_path, command, graph,
+                                        packing, needle):
+    g, pk = tmp_path / "g.txt", tmp_path / "pk.json"
+    g.write_bytes(graph or b"p 2 1\ne 0 1\n")
+    pk.write_bytes(packing or b'{"trees": [[[0, 1]]]}')
+    argv = [command, str(g)] + ([str(pk)] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and needle in err
+
+
+def _edited(base: bytes):
+    """Raw bytes, or the base file with a few byte-range replacements."""
+    edit = st.tuples(st.integers(0, len(base)), st.integers(0, 4),
+                     st.binary(max_size=4) | st.sampled_from(
+                         [b"[", b"]", b",", b"-1", b"9", b" ", b"\n", b"e", b"p"]))
+
+    def apply(edits):
+        data = base
+        for pos, cut, new in edits:
+            data = data[:pos] + new + data[pos + cut:]
+        return data
+    return st.binary(max_size=40) | st.lists(edit, max_size=4).map(apply)
+
+
+_K4 = (GOLDEN / "k4.graph").read_bytes()
+_K4_PACKING = (GOLDEN / "k4.factor.json").read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited(_K4), _edited(_K4_PACKING))
+@example(b"\xff\xfe" + _K4, _K4_PACKING)
+@example(_K4, b"[" * 200_000)
+def test_verify_fuzz_on_raw_bytes_ends_in_report_or_usage_error(graph, packing):
+    """Whatever the two files hold, verify exits 0 with a PASS report, 1 with
+    a FAIL report, or 2 with an error line: never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        g, pk = Path(tmp, "g.txt"), Path(tmp, "pk.json")
+        g.write_bytes(graph)
+        pk.write_bytes(packing)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", str(g), str(pk)])
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    else:
+        assert (code, out.getvalue()[:4]) in {(0, "PASS"), (1, "FAIL")}
+
+
 def test_pack_one_vertex_factor(capsys, tmp_path):
     k1 = tmp_path / "k1.txt"
     k4 = tmp_path / "k4.txt"
@@ -166,9 +230,6 @@ def test_oracle_text_and_json(capsys, tmp_path):
     assert record["sigma"] == 2
     assert record["certificate"]["bound"] == 2
     assert len(record["packing"]["trees"]) == 2
-
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["k6", "q4", "k4xc6", "rand12"])

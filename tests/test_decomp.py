@@ -16,19 +16,24 @@ def _tree(host: Graph) -> EdgeSet:
 
 def _forest_components(sp) -> tuple:
     """Vertex sets of a leaf split's forest components (no singletons)."""
-    return tuple(c for c in components(sp.source.host.n, sp.forest.edges)
+    return tuple(c for c in components(sp.forest.host.n, sp.forest.edges)
                  if len(c) > 1)
+
+
+def _forest_vertices(sp) -> frozenset:
+    """Endpoints of the edges a leaf split deleted."""
+    return frozenset(v for e in sp.forest.edges for v in e)
 
 
 def test_root_tree_orders_breadth_first():
     g = path(4)
-    rt = root_tree(EdgeSet.of(g, g.edges), 0)
+    rt = root_tree(EdgeSet.of(g, g.edges))
     assert rt.order == (0, 1, 2, 3)
     assert rt.parent == (0, 0, 1, 2)
     assert list(rt.edges_bfs()) == [(0, 1), (1, 2), (2, 3)]
-    star = EdgeSet.of(complete(4), [(0, 1), (0, 2), (0, 3)])
-    rt2 = root_tree(star, 2)
-    assert rt2.order == (2, 0, 1, 3)
+    # neighbors are scanned in ascending order
+    star = EdgeSet.of(complete(4), [(0, 3), (1, 3), (2, 3)])
+    assert root_tree(star).order == (0, 3, 1, 2)
 
 
 def test_root_tree_rejects_non_trees():
@@ -37,37 +42,39 @@ def test_root_tree_rejects_non_trees():
         root_tree(EdgeSet.of(g, g.edges))
     with pytest.raises(ContractError):
         root_tree(EdgeSet.of(g, [(0, 1)]))
+    # leaf_split takes the tree itself and makes the same check
     with pytest.raises(ContractError):
-        root_tree(_tree(g), root=9)
+        leaf_split(EdgeSet.of(g, g.edges))
+    assert leaf_split(_tree(g)).subtree_vertices == frozenset({0, 3})
 
 
 def test_leaf_split_known_seven_vertex_tree():
     # star-like tree whose deterministic split keeps {3,4,5,6}
     host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
-    sp = leaf_split(root_tree(EdgeSet.of(host, host.edges), 0))
+    sp = leaf_split(EdgeSet.of(host, host.edges))
     assert sp.subtree.edges == ((3, 4), (3, 5), (3, 6))
     assert sp.subtree_vertices == frozenset({3, 4, 5, 6})
     assert sp.forest.edges == ((0, 3), (1, 5), (2, 5))
-    assert sp.forest_vertices == frozenset({0, 1, 2, 3, 5})
+    assert _forest_vertices(sp) == frozenset({0, 1, 2, 3, 5})
     # attachment roots: kept vertices the forest touches
-    assert sp.subtree_vertices & sp.forest_vertices == frozenset({3, 5})
+    assert sp.subtree_vertices & _forest_vertices(sp) == frozenset({3, 5})
     assert _forest_components(sp) == ((0, 3), (1, 2, 5))
 
 
 def test_leaf_split_path_and_single_edge():
     p4 = path(4)
-    sp = leaf_split(root_tree(EdgeSet.of(p4, p4.edges), 0))
+    sp = leaf_split(EdgeSet.of(p4, p4.edges))
     assert sp.subtree_vertices == frozenset({2, 3})
     assert sp.forest.edges == ((0, 1), (1, 2))
 
     p2 = path(2)
-    sp2 = leaf_split(root_tree(EdgeSet.of(p2, p2.edges), 0))
+    sp2 = leaf_split(EdgeSet.of(p2, p2.edges))
     assert sp2.subtree_vertices == frozenset({1})
     assert sp2.subtree.edges == ()
     assert sp2.forest.edges == ((0, 1),)
 
     p1 = path(1)
-    sp3 = leaf_split(root_tree(EdgeSet.of(p1, ()), 0))
+    sp3 = leaf_split(EdgeSet.of(p1, ()))
     assert sp3.subtree_vertices == frozenset({0})
     assert sp3.forest.edges == ()
 
@@ -78,7 +85,7 @@ def test_leaf_split_invariants_random_trees():
         n = rng.randint(1, 12)
         edges = sorted((rng.randrange(v), v) for v in range(1, n))
         host = Graph.from_edges(n, edges)
-        sp = leaf_split(root_tree(EdgeSet.of(host, host.edges), 0))
+        sp = leaf_split(EdgeSet.of(host, host.edges))
         assert len(sp.subtree_vertices) == (n + 1) // 2
         assert len(sp.forest) == n // 2
         assert set(sp.subtree.edges) | set(sp.forest.edges) == set(edges)
@@ -90,7 +97,7 @@ def test_leaf_split_invariants_random_trees():
             assert len(set(comp) & sp.subtree_vertices) == 1
         # dropped vertices all appear in the forest
         dropped = set(range(n)) - sp.subtree_vertices
-        assert dropped <= sp.forest_vertices
+        assert dropped <= _forest_vertices(sp)
 
 
 def _bundle(p, u: int, w: int) -> set:
@@ -186,7 +193,7 @@ def test_parallel_subgraph_lex_components():
     oriented from root 0, as pack_lex takes it."""
     g, h = path(3), complete(4)
     p = lexicographic(g, h)
-    oriented = list(root_tree(EdgeSet.of(g, g.edges), 0).edges_bfs())
+    oriented = list(root_tree(EdgeSet.of(g, g.edges)).edges_bfs())
     for j in range(1, 5):
         ps = p.matching_copy(oriented, j)
         assert len(ps) == (g.n - 1) * h.n

@@ -1,14 +1,15 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (Graph, InputError, ParseError, SizeError, complete,
-                           cycle, path, read_graph, write_graph)
+from treepack.core import (Graph, InputError, SizeError, complete, cycle, path,
+                           read_graph, write_graph)
 from treepack.products import (ProductGraph, cartesian, lexicographic,
-                               read_product, write_product)
+                               write_product)
 
 
 def test_cartesian_small():
@@ -28,12 +29,18 @@ def test_cartesian_edge_count_law():
         assert q.graph.m == p.graph.m   # size is symmetric
 
 
+def _degrees(g: Graph) -> Counter:
+    """Vertex degrees counted from the edge list."""
+    return Counter(v for e in g.edges for v in e)
+
+
 def test_cartesian_degree_law():
     g, h = complete(4), cycle(5)
     p = cartesian(g, h)
+    dp, dg, dh = _degrees(p.graph), _degrees(g), _degrees(h)
     for u in range(g.n):
         for v in range(h.n):
-            assert p.graph.degree(u * h.n + v) == g.degree(u) + h.degree(v)
+            assert dp[u * h.n + v] == dg[u] + dh[v]
 
 
 def test_lexicographic_sizes_and_degrees():
@@ -42,10 +49,10 @@ def test_lexicographic_sizes_and_degrees():
     assert p.graph.n == 12
     assert p.graph.m == 50
     assert p.graph.m == g.n * h.m + g.m * h.n * h.n
+    dp, dg, dh = _degrees(p.graph), _degrees(g), _degrees(h)
     for u in range(g.n):
         for v in range(h.n):
-            want = h.n * g.degree(u) + h.degree(v)
-            assert p.graph.degree(u * h.n + v) == want
+            assert dp[u * h.n + v] == h.n * dg[u] + dh[v]
 
 
 def test_lexicographic_not_commutative():
@@ -94,75 +101,12 @@ def test_factors_must_be_connected():
 
 
 def test_product_round_trip():
+    # a product file is an edge list under a header naming kind and fiber sizes
     for make in (cartesian, lexicographic):
         p = make(cycle(3), path(4))
-        text = write_product(p, ["round trip"])
-        back = read_product(text)
-        assert back.kind == p.kind
-        assert back.graph.edges == p.graph.edges
-        assert back.factor_g.edges == p.factor_g.edges
-        assert back.factor_h.edges == p.factor_h.edges
-
-
-def test_read_product_rejects_wrong_header():
-    p = cartesian(path(2), path(2))
-    text = write_product(p)
-    with pytest.raises(ParseError, match="header"):
-        read_product(text.replace("# product cartesian n1=2 n2=2\n", ""))
-    with pytest.raises(ParseError, match="kind"):
-        read_product(text.replace("cartesian", "tensor"))
-    # claim it is a lex product: edge set will not match the rebuild
-    with pytest.raises(ParseError, match="not the declared product"):
-        read_product(text.replace("cartesian", "lex"))
-
-
-def test_read_product_disconnected_factor_is_parse_error():
-    header = "# product cartesian n1=2 n2=3\n"
-    with pytest.raises(ParseError, match="second factor must be connected"):
-        read_product(header + "p 6 2\ne 0 3\ne 1 4\n")
-    with pytest.raises(ParseError, match="first factor must be connected"):
-        read_product(header + "p 6 0\n")
-
-
-_PRODUCT_TOKENS = ["#", "product", "cartesian", "lex", "n1=2", "n2=3", "n1=0",
-                   "n2=-1", "n1=99999999999", "p", "e", "0", "1", "2", "3",
-                   "4", "5", "-1", "6", "x", "", "e 0 3", "p 6 0", "\n"]
-
-
-def _parses_or_parse_error(kind: str, edits) -> None:
-    """Put each token in place of token j of line i of a product file (past
-    the end: append; empty token: delete), as in the read_graph fuzz test;
-    the result must parse to its own graph or raise ParseError."""
-    make = cartesian if kind == "cartesian" else lexicographic
-    lines = [line.split() for line in
-             write_product(make(path(2), path(3))).splitlines()]
-    for i, j, token in edits:
-        words = lines[i % len(lines)]
-        words[j:j + 1] = [token] if token else []
-    text = "\n".join(" ".join(words) for words in lines) + "\n"
-    try:
-        p = read_product(text)
-    except ParseError:
-        return
-    assert p.graph == read_graph(text)
-
-
-@pytest.mark.parametrize("kind", ["cartesian", "lex"])
-def test_read_product_single_token_edits(kind):
-    # every single edit; replacing one endpoint of a fiber-0 edge leaves the
-    # second factor disconnected
-    for i in range(10):
-        for j in range(5):
-            for token in _PRODUCT_TOKENS:
-                _parses_or_parse_error(kind, [(i, j, token)])
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from(["cartesian", "lex"]),
-       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4),
-                          st.sampled_from(_PRODUCT_TOKENS)), max_size=6))
-def test_read_product_fuzz_raises_only_parse_error(kind, edits):
-    _parses_or_parse_error(kind, edits)
+        text = write_product(p)
+        assert text.startswith(f"# product {p.kind} n1=3 n2=4\np {p.graph.n} ")
+        assert read_graph(text) == p.graph
 
 
 def test_product_size_is_checked_before_building():

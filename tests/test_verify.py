@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,51 +8,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
-from treepack.catalogue import (proposition_graph, proposition_value,
-                                verify_proposition_row)
+from treepack.catalogue import proposition_value
 from treepack.core import (EdgeSet, Graph, SizeError, TreePacking, complete,
-                           cycle, path)
+                           components, cycle, path)
 from treepack.lex import lex_bound, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import verify_packing, verify_tree
+from treepack.verify import verify_packing
+
+from reference import proposition_graph, verify_proposition_row
+
+
+def _one_tree(host: Graph, t: EdgeSet):
+    return verify_packing(host, TreePacking(host, (t,)))
 
 
 def test_verify_tree_passes_on_spanning_tree():
     c4 = cycle(4)
     t = EdgeSet.of(c4, [(0, 1), (1, 2), (2, 3)])
-    report = verify_tree(c4, t)
+    report = _one_tree(c4, t)
     assert report.overall
     assert all(c.passed for c in report.checks)
 
 
 def test_verify_tree_fails_on_cycle_with_witness():
     c4 = cycle(4)
-    report = verify_tree(c4, EdgeSet.of(c4, c4.edges))
+    report = _one_tree(c4, EdgeSet.of(c4, c4.edges))
     assert not report.overall
     names = {c.name: c for c in report.checks}
-    count = names["tree: edge count is n-1"]
+    count = names["tree 0: edge count is n-1"]
     assert not count.passed and "4 != 3" in str(count.witness)
-    acyc = names["tree: acyclic"]
+    acyc = names["tree 0: acyclic"]
     assert not acyc.passed and "closes a cycle" in str(acyc.witness)
 
 
 def test_verify_tree_fails_on_disconnected_with_witness():
-    p4 = path(4)
     host = complete(4)
     two = EdgeSet.of(host, [(0, 1), (2, 3)])
-    report = verify_tree(host, two)
+    report = _one_tree(host, two)
     assert not report.overall
     spanning = [c for c in report.checks if "connects" in c.name][0]
     assert not spanning.passed
-    assert "separated" in str(spanning.witness)
-    assert p4.n == 4  # keep the fixture honest
+    assert spanning.witness == "vertex 2 separated from vertex 0"
 
 
 def test_verify_tree_flags_foreign_edges():
     p3 = path(3)
     stray = EdgeSet(p3, ((0, 2), (0, 1)))   # (0,2) is not a path edge
-    report = verify_tree(p3, stray)
+    report = _one_tree(p3, stray)
     member = [c for c in report.checks if "belong" in c.name][0]
     assert not member.passed and member.witness == (0, 2)
 
@@ -59,12 +63,53 @@ def test_verify_tree_flags_foreign_edges():
 @pytest.mark.parametrize("bad", [(2, 9), (-1, 2)])
 def test_verify_flags_out_of_range_vertices(bad):
     k4 = complete(4)
-    tree = EdgeSet(k4, ((0, 1), bad))
-    for report in (verify_tree(k4, tree),
-                   verify_packing(k4, TreePacking(k4, (tree,)))):
-        assert not report.overall
-        rng = [c for c in report.checks if "range" in c.name][0]
-        assert not rng.passed and str(bad) in rng.witness
+    report = _one_tree(k4, EdgeSet(k4, ((0, 1), bad)))
+    assert not report.overall
+    rng = [c for c in report.checks if "range" in c.name][0]
+    assert not rng.passed and str(bad) in rng.witness
+
+
+def test_empty_trees_on_a_huge_host_verify_in_bounded_memory():
+    # a tree short of n-1 edges costs O(its edges), not O(n)
+    host = Graph(2_000_001, ())
+    packing = TreePacking(host, (EdgeSet(host, ()),) * 30)
+    tracemalloc.start()
+    try:
+        report = verify_packing(host, packing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed == {
+        **{f"tree {i}: edge count is n-1": "0 != 2000000" for i in range(30)},
+        **{f"tree {i}: spans and connects all vertices":
+           "vertex 1 separated from vertex 0" for i in range(30)}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=n + 1))))
+def test_separated_witness_is_smallest_vertex_off_component_of_0(case):
+    """Short, full and long trees alike name the smallest vertex that is not
+    joined to 0, once the edges up to the first cycle are merged."""
+    n, pairs = case
+    edges = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    host = complete(n)
+    report = _one_tree(host, EdgeSet(host, tuple(edges)))
+    spans = [c for c in report.checks if "connects" in c.name][0]
+    kept = []   # the edges the union-find merged before the cycle, if any
+    for e in edges:
+        if any(len(c) > 1 and set(e) <= set(c) for c in components(n, kept)):
+            break
+        kept.append(e)
+    block = next(c for c in components(n, kept) if 0 in c)
+    want = next((v for v in range(n) if v not in block), None)
+    if len(edges) == n - 1 and len(kept) == len(edges):
+        want = None   # a spanning tree: nothing is scanned
+    assert spans.witness == (None if want is None
+                             else f"vertex {want} separated from vertex 0")
 
 
 def test_verify_packing_accepts_oracle_output():
