@@ -7,7 +7,7 @@ closed form takes its catalogued value from that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (Graph, complete, complete_multipartite, cycle, hypercube,
                    path)
@@ -52,8 +52,7 @@ def proposition_value(row: int, params: tuple[int, ...]) -> int:
     raise ValueError(f"row must be 1..7, got {row}")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     label: str
     kind: str | None          # cartesian | lex | None (plain graph)
     g: Graph

@@ -3,6 +3,9 @@
 Stdout carries the requested artifact (edge list, packing record, report,
 table) and is byte-identical across runs of the same command; a one-line run
 record with wall time goes to stderr.
+
+Each ``cmd_*`` imports the modules it runs inside the function, so a command
+loads no module it does not use and ``--help`` loads none.
 """
 
 from __future__ import annotations
@@ -12,22 +15,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .cartesian import pack_cartesian
-from .catalogue import TableRow, table_rows
-from .core import (ContractError, EdgeSet, FamilySpec, Graph, InputError,
-                   ParameterError, ParseError, SizeError, TreePacking, generate,
-                   read_graph, write_graph)
-from .lex import pack_lex
-from .oracle import max_packing
-from .products import (CARTESIAN, LEXICOGRAPHIC, ProductGraph, cartesian,
-                       lexicographic, write_product)
-from .verify import verify_packing
+if TYPE_CHECKING:
+    from .catalogue import TableRow
+    from .core import Graph, TreePacking
 
-USAGE_ERRORS = (ParameterError, ParseError, InputError, ContractError,
-                SizeError, OSError)
+# products.CARTESIAN and LEXICOGRAPHIC, spelled out so the parser imports nothing
+PRODUCT_KINDS = ("cartesian", "lex")
 
 FAMILY_CLI_NAMES = {
     "path": "path",
@@ -39,18 +34,12 @@ FAMILY_CLI_NAMES = {
 }
 
 
-@dataclass
-class RunRecord:
-    command: str
-    inputs: list[str]
-    outputs: dict[str, Any]
-    verified: bool | None
-    wall_time_s: float
-
-    def emit(self) -> None:
-        record = asdict(self)
-        record["wall_time_s"] = round(self.wall_time_s, 3)
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+def _emit_run_record(args: argparse.Namespace, inputs: list[str],
+                     outputs: dict[str, Any], verified: bool | None) -> None:
+    record = {"command": args.command, "inputs": inputs, "outputs": outputs,
+              "verified": verified,
+              "wall_time_s": round(time.perf_counter() - args.t0, 3)}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def _dump(record: Any) -> str:
@@ -67,6 +56,7 @@ def _read_text(path_: str) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
+            from .core import ParseError
             raise ParseError(f"{path_}: not UTF-8 text ({exc.reason})") from None
 
 
@@ -87,6 +77,7 @@ def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
 
 def _load_packing(path_: str, host: Graph) -> TreePacking:
     """Check a packing file's shape only: ``pack_*`` and ``verify`` check its trees."""
+    from .core import EdgeSet, ParseError, TreePacking
     text = _read_text(path_)
     try:
         record = json.loads(text)
@@ -115,6 +106,7 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .core import FamilySpec, generate, write_graph
     kind = FAMILY_CLI_NAMES[args.family]
     g = generate(FamilySpec(kind, tuple(args.params)))
     text = write_graph(g, [f"family {args.family} {' '.join(map(str, args.params))}"])
@@ -122,13 +114,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _write_out(args.out, text)
     else:
         sys.stdout.write(text if args.format == "text" else _dump(_graph_record(g)) + "\n")
-    RunRecord("gen", [args.family] + [str(p) for p in args.params],
-              {"n": g.n, "m": g.m, "out": args.out}, None,
-              time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [args.family] + [str(p) for p in args.params],
+                     {"n": g.n, "m": g.m, "out": args.out}, None)
     return 0
 
 
 def cmd_product(args: argparse.Namespace) -> int:
+    from .core import read_graph
+    from .products import CARTESIAN, cartesian, lexicographic, write_product
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     p = cartesian(g, h) if args.kind == CARTESIAN else lexicographic(g, h)
@@ -142,14 +135,14 @@ def cmd_product(args: argparse.Namespace) -> int:
             record = {"kind": p.kind, "n1": p.n1, "n2": p.n2}
             record.update(_graph_record(p.graph))
             sys.stdout.write(_dump(record) + "\n")
-    RunRecord("product", [args.kind, args.fileG, args.fileH],
-              {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None,
-              time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
+                     {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None)
     return 0
 
 
 def _factor_packings(args: argparse.Namespace, g: Graph,
                      h: Graph) -> tuple[TreePacking, TreePacking]:
+    from .core import InputError
     overrides = args.factor_packing or []
     if len(overrides) > 2:
         raise InputError("--factor-packing may be given at most twice (G then H)")
@@ -162,18 +155,24 @@ def _factor_packings(args: argparse.Namespace, g: Graph,
 
 def _oracle_packing(g: Graph) -> TreePacking:
     """The oracle's packing, or the single empty tree of a one-vertex graph."""
+    from .core import EdgeSet, TreePacking
+    from .oracle import max_packing
     if g.n == 1:
         return TreePacking(g, (EdgeSet(g, ()),))
     return max_packing(g).packing
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
+    from .core import read_graph
+    from .products import CARTESIAN, ProductGraph, write_product
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     pg, ph = _factor_packings(args, g, h)
     if args.kind == CARTESIAN:
+        from .cartesian import pack_cartesian
         packed = pack_cartesian(g, h, pg, ph)
     else:
+        from .lex import pack_lex
         packed = pack_lex(g, h, pg, ph)
     # pack_* checks that it built exactly cartesian_bound / lex_bound trees
     # and ends in verify_packing; either failure raises ConstructionError
@@ -194,13 +193,16 @@ def cmd_pack(args: argparse.Namespace) -> int:
                 f"(bound {bound}), verified={str(verified).lower()}\n")
         else:
             sys.stdout.write(_dump(record) + "\n")
-    RunRecord("pack", [args.kind, args.fileG, args.fileH],
-              {"trees": len(packed.trees), "bound": bound, "out": args.out},
-              verified, time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
+                     {"trees": len(packed.trees), "bound": bound, "out": args.out},
+                     verified)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .core import read_graph
+    from .oracle import max_packing
+    from .verify import verify_packing
     g = read_graph(_read_text(args.file))
     result = max_packing(g)
     verified = verify_packing(g, result.packing).overall
@@ -226,13 +228,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"verified={str(verified).lower()}\n")
     else:
         sys.stdout.write(_dump(record) + "\n")
-    RunRecord("oracle", [args.file],
-              {"sigma": result.sigma, "bound": result.certificate.bound},
-              verified, time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [args.file],
+                     {"sigma": result.sigma, "bound": result.certificate.bound},
+                     verified)
     return 0 if verified else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .core import read_graph
+    from .verify import verify_packing
     g = read_graph(_read_text(args.graphfile))
     packing = _load_packing(args.packingfile, g)
     report = verify_packing(g, packing)
@@ -240,13 +244,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(report.render() + "\n")
     else:
         sys.stdout.write(_dump(report.to_record()) + "\n")
-    RunRecord("verify", [args.graphfile, args.packingfile],
-              {"trees": len(packing.trees)}, report.overall,
-              time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [args.graphfile, args.packingfile],
+                     {"trees": len(packing.trees)}, report.overall)
     return 0 if report.overall else 1
 
 
 def _run_table_row(row: TableRow) -> dict[str, Any]:
+    from .cartesian import pack_cartesian
+    from .lex import pack_lex
+    from .oracle import max_packing
+    from .products import CARTESIAN
     if row.kind is None:
         host = row.g
         bound = None
@@ -289,6 +296,7 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .catalogue import table_rows
     rows = [_run_table_row(r) for r in table_rows()]
     if args.format == "text":
         header = f"{'graph':<12} {'closed':>6} {'bound':>5} {'sigma':>5} {'verified':>8}  note"
@@ -306,8 +314,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(_dump(rows) + "\n")
     failed = [r["graph"] for r in rows if r["failures"]]
-    RunRecord("table", [], {"rows": len(rows), "failed": failed},
-              True, time.perf_counter() - args.t0).emit()
+    _emit_run_record(args, [], {"rows": len(rows), "failed": failed}, True)
     if args.strict and failed:
         print(f"strict: failing rows: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -331,14 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_prod = sub.add_parser("product", help="compose two graphs")
-    p_prod.add_argument("kind", choices=(CARTESIAN, LEXICOGRAPHIC))
+    p_prod.add_argument("kind", choices=PRODUCT_KINDS)
     p_prod.add_argument("fileG")
     p_prod.add_argument("fileH")
     common(p_prod)
     p_prod.set_defaults(func=cmd_product)
 
     p_pack = sub.add_parser("pack", help="build a spanning tree packing of a product")
-    p_pack.add_argument("kind", choices=(CARTESIAN, LEXICOGRAPHIC))
+    p_pack.add_argument("kind", choices=PRODUCT_KINDS)
     p_pack.add_argument("fileG")
     p_pack.add_argument("fileH")
     p_pack.add_argument("--factor-packing", action="append", metavar="PATH",
@@ -370,9 +377,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.t0 = time.perf_counter()
+    from .core import (ContractError, InputError, ParameterError, ParseError,
+                       SizeError)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (ParameterError, ParseError, InputError, ContractError, SizeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,8 @@ sorted order, so every downstream "pick the first" tie-break is deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -85,16 +84,29 @@ def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` is a sorted tuple of (min, max) pairs with no loops and no
-    duplicates.
+    duplicates.  Fields are read-only; graphs compare and hash by value.
     """
 
     n: int
     edges: tuple[Edge, ...]
+
+    def __init__(self, n: int, edges: tuple[Edge, ...]) -> None:
+        vars(self).update(n=n, edges=edges)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} fields are read-only: {name}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -129,12 +141,24 @@ class Graph:
         return self.n <= 1 or len(components(self.n, self.edges)) == 1
 
 
-@dataclass(frozen=True)
 class EdgeSet:
-    """A subset of a host graph's edges."""
+    """A subset of a host graph's edges; read-only, compared by value."""
 
     host: Graph
     edges: tuple[Edge, ...]
+
+    def __init__(self, host: Graph, edges: tuple[Edge, ...]) -> None:
+        vars(self).update(host=host, edges=edges)
+
+    __setattr__ = Graph.__setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.host, self.edges) == (other.host, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.host, self.edges))
 
     @classmethod
     def of(cls, host: Graph, edges: Iterable[Edge]) -> "EdgeSet":
@@ -163,8 +187,7 @@ class EdgeSet:
         return len(components(n, self.edges)) == 1
 
 
-@dataclass(frozen=True)
-class TreePacking:
+class TreePacking(NamedTuple):
     """Pairwise edge-disjoint spanning trees of a common host graph.
 
     ``method`` records provenance: constructed-cartesian, constructed-lex,
@@ -179,8 +202,7 @@ class TreePacking:
 # ---------------------------------------------------------------------------
 # standard families
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str
     params: tuple[int, ...]
 

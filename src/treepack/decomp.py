@@ -8,15 +8,13 @@ bundle matchings live on ``ProductGraph.matching_copy``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (ContractError, Edge, EdgeSet, ExtractionError, Graph,
                    normalize_edge)
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """A spanning tree rooted at vertex 0: parent pointers and breadth-first order."""
 
     parent: tuple[int, ...]   # parent[0] == 0
@@ -57,8 +55,7 @@ def root_tree(tree: EdgeSet) -> RootedTree:
     return RootedTree(tuple(parent), tuple(order))
 
 
-@dataclass(frozen=True)
-class LeafSplit:
+class LeafSplit(NamedTuple):
     """A spanning tree cut into a kept subtree and the deleted leaf forest.
 
     ``subtree_vertices`` has ceil(n/2) members.  Each forest component

@@ -10,7 +10,7 @@ unbalanced regimes consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
                    TreePacking)
@@ -27,8 +27,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class LexPlan:
+class LexPlan(NamedTuple):
     """Case selection and resource budget for one product packing."""
 
     case: str

@@ -16,7 +16,7 @@ Tutte/Nash-Williams partition certifying the bound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
                    TreePacking)
@@ -24,8 +24,7 @@ from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
 Label = tuple[Edge, int]
 
 
-@dataclass(frozen=True)
-class TutteCertificate:
+class TutteCertificate(NamedTuple):
     """A vertex partition certifying an upper bound on the packing number.
 
     Any packing must spend at least |partition|-1 crossing edges per tree,
@@ -37,8 +36,7 @@ class TutteCertificate:
     bound: int
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     sigma: int
     packing: TreePacking
     certificate: TutteCertificate

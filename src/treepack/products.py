@@ -7,8 +7,7 @@ occupies a contiguous index block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Edge, Graph, InputError, check_edge_count, write_graph
 
@@ -16,8 +15,7 @@ CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(NamedTuple):
     """A product graph that remembers its kind and both factors."""
 
     kind: str

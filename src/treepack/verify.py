@@ -7,14 +7,12 @@ is the bottom layer: it imports only the carrier types of ``core``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import ContractError, Edge, EdgeSet, Graph, TreePacking
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     witness: Any = None
@@ -25,10 +23,9 @@ class Check:
         return f"  {mark:4} {self.name}{tail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subject: str
-    checks: tuple[Check, ...] = field(default_factory=tuple)
+    checks: tuple[Check, ...] = ()
 
     @property
     def overall(self) -> bool:

@@ -5,7 +5,6 @@ import random
 import time
 
 from treepack import (
-    cartesian,
     cartesian_bound,
     complete,
     complete_minus_edge,
@@ -23,6 +22,7 @@ from treepack import (
 )
 from treepack.cli import main as cli_main
 from treepack.core import Graph
+from treepack.products import cartesian
 
 from reference import tutte_bruteforce, verify_proposition_row
 

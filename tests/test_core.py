@@ -1,3 +1,4 @@
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,7 @@ from treepack.core import (MAX_EDGES, EdgeSet, FamilySpec, Graph,
                            components, cycle, generate, hypercube,
                            normalize_edge, path, read_graph, write_graph,
                            ContractError, TreePacking)
-from treepack.verify import check_packing
+from treepack.verify import Check, VerificationReport, check_packing
 
 
 def test_normalize_edge():
@@ -107,6 +108,29 @@ def test_every_exported_name_is_used():
         assert users or word.search(readme), name
 
 
+def test_star_import_binds_each_name_to_its_home_object():
+    namespace: dict = {}
+    exec("from treepack import *", namespace)
+    for name in treepack.__all__:
+        home = importlib.import_module(f"treepack.{treepack._HOME[name]}")
+        assert namespace[name] is getattr(home, name), name
+
+
+def test_carrier_types_are_read_only_values():
+    g = complete(3)
+    t = EdgeSet.of(g, [(1, 0), (2, 1)])
+    assert t == EdgeSet(complete(3), ((0, 1), (1, 2)))
+    assert hash(t) == hash(EdgeSet(complete(3), ((0, 1), (1, 2))))
+    assert t != EdgeSet(g, ((0, 1), (0, 2)))
+    packing = TreePacking(g, (t,))
+    assert packing.method == "user"
+    assert VerificationReport("no trees").checks == ()
+    for obj, field in ((g, "n"), (g, "edges"), (t, "host"), (t, "edges"),
+                       (packing, "trees"), (Check("c", True), "passed")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
 def test_generate_matches_direct_builders():
     assert generate(FamilySpec("cycle", (4,))).edges == cycle(4).edges
     assert generate(FamilySpec("complete_multipartite", (2, 2))).edges == \
@@ -118,6 +142,8 @@ def test_edge_list_round_trip():
         text = write_graph(g, ["round trip"])
         back = read_graph(text)
         assert back.n == g.n and back.edges == g.edges
+        assert back == g and hash(back) == hash(g)
+        assert back != Graph(g.n, g.edges[:-1])
 
 
 def test_read_graph_errors_carry_line_numbers():
