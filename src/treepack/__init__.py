@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cartesian": ("cartesian_bound", "pack_cartesian"),
     "catalogue": ("proposition_value",),
-    "core": ("ConstructionError", "ContractError", "Edge", "EdgeSet",
-             "ExtractionError", "FamilySpec", "Graph", "InputError",
-             "ParameterError", "ParseError", "SizeError", "TreePacking",
-             "complete", "complete_minus_edge", "complete_multipartite", "cycle",
+    "core": ("ConstructionError", "ContractError", "Edge", "ExtractionError",
+             "FamilySpec", "Graph", "InputError", "ParameterError",
+             "ParseError", "SizeError", "TreePacking", "complete",
+             "complete_minus_edge", "complete_multipartite", "cycle",
              "generate", "hypercube", "path", "read_graph", "write_graph"),
     "decomp": ("LeafSplit", "RootedTree", "extract_spanning_tree", "leaf_split",
                "root_tree"),

@@ -9,8 +9,7 @@ completed with the copies and cross edges the backbone leaves unused.
 
 from __future__ import annotations
 
-from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
-                   TreePacking)
+from .core import ConstructionError, Edge, Graph, InputError, TreePacking
 from .decomp import leaf_split, root_tree
 from .products import cartesian
 from .verify import check_packing, verify_packing
@@ -39,9 +38,9 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     product = cartesian(g, h)
 
     n2 = h.n
-    tk = root_tree(pack_g.trees[-1])
+    tk = root_tree(g.n, pack_g.trees[-1])
     t_ell = pack_h.trees[-1]
-    split = leaf_split(t_ell)
+    split = leaf_split(n2, t_ell)
     # the first floor((n1-1)/2) child fibers, breadth-first, keep the split's
     # subtree copy; the rest, the odd fiber out included, keep its forest
     children = tk.order[1:]
@@ -80,19 +79,19 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
 
     # (min, max) copies of checked factor trees: the verify_packing below
     # is their only check
-    trees: list[EdgeSet] = []
+    trees: list[tuple[Edge, ...]] = []
     for i in range(k - 1):
         edges = product.fiber_copy(split.subtree, free_subtree[i])
         edges.extend(product.fiber_copy(split.forest, free_forest[i]))
         for v in range(n2):
             edges.extend(product.cross_section_copy(pack_g.trees[i], v))
-        trees.append(EdgeSet(product.graph, tuple(sorted(edges))))
+        trees.append(tuple(sorted(edges)))
     for j in range(ell - 1):
         edges = [rungs[j] for rungs in leftover]
         for u in range(product.n1):
             edges.extend(product.fiber_copy(pack_h.trees[j], u))
-        trees.append(EdgeSet(product.graph, tuple(sorted(edges))))
-    trees.append(EdgeSet(product.graph, tuple(sorted(backbone))))
+        trees.append(tuple(sorted(edges)))
+    trees.append(tuple(sorted(backbone)))
 
     packing = TreePacking(product.graph, tuple(trees), "constructed-cartesian")
     if len(trees) != cartesian_bound(k, ell):

@@ -77,7 +77,7 @@ def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
 
 def _load_packing(path_: str, host: Graph) -> TreePacking:
     """Check a packing file's shape only: ``pack_*`` and ``verify`` check its trees."""
-    from .core import EdgeSet, ParseError, TreePacking
+    from .core import ParseError, TreePacking
     text = _read_text(path_)
     try:
         record = json.loads(text)
@@ -101,7 +101,7 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
                     f"{path_}: tree {idx} edge {e!r} has a non-integer vertex")
             edges.append((a, b) if a < b else (b, a))
         edges.sort()
-        trees.append(EdgeSet(host, tuple(edges)))
+        trees.append(tuple(edges))
     return TreePacking(host, tuple(trees), str(record.get("method", "user")))
 
 
@@ -155,10 +155,10 @@ def _factor_packings(args: argparse.Namespace, g: Graph,
 
 def _oracle_packing(g: Graph) -> TreePacking:
     """The oracle's packing, or the single empty tree of a one-vertex graph."""
-    from .core import EdgeSet, TreePacking
+    from .core import TreePacking
     from .oracle import max_packing
     if g.n == 1:
-        return TreePacking(g, (EdgeSet(g, ()),))
+        return TreePacking(g, ((),))
     return max_packing(g).packing
 
 
@@ -327,8 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Edge-disjoint spanning tree packings of product graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write the primary artifact to this path")
+    def common(p: argparse.ArgumentParser, out: bool = True) -> None:
+        if out:
+            p.add_argument("--out", help="write the primary artifact to this path")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_gen = sub.add_parser("gen", help="generate a named graph family")
@@ -362,13 +363,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a packing file against a graph")
     p_verify.add_argument("graphfile")
     p_verify.add_argument("packingfile")
-    common(p_verify)
+    common(p_verify, out=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="closed form vs construction vs oracle")
     p_table.add_argument("--strict", action="store_true",
                          help="exit nonzero on any unexpected mismatch")
-    common(p_table)
+    common(p_table, out=False)
     p_table.set_defaults(func=cmd_table)
     return parser
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -56,32 +56,26 @@ def normalize_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of (0..n-1, edges), singletons included.
-
-    Blocks are sorted internally and ordered by smallest member.
-    """
+def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    """Parent pointers (-1: unreached) and discovery order of a breadth-first
+    search of (0..n-1, edges) from vertex 0 that scans neighbors in ascending
+    order."""
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    block.append(w)
-                    queue.append(w)
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+                queue.append(w)
+    return parent, order
 
 
 class Graph:
@@ -135,67 +129,22 @@ class Graph:
 
     def is_connected(self) -> bool:
         # fewer than n-1 edges cannot connect n vertices: decide before
-        # components() allocates O(n)
+        # bfs_tree() allocates O(n)
         if self.m < self.n - 1:
             return False
-        return self.n <= 1 or len(components(self.n, self.edges)) == 1
-
-
-class EdgeSet:
-    """A subset of a host graph's edges; read-only, compared by value."""
-
-    host: Graph
-    edges: tuple[Edge, ...]
-
-    def __init__(self, host: Graph, edges: tuple[Edge, ...]) -> None:
-        vars(self).update(host=host, edges=edges)
-
-    __setattr__ = Graph.__setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.host, self.edges) == (other.host, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.host, self.edges))
-
-    @classmethod
-    def of(cls, host: Graph, edges: Iterable[Edge]) -> "EdgeSet":
-        ordered = tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
-        members = set(ordered)
-        if len(members) != len(ordered) or not host.edge_set.issuperset(members):
-            # name the first offender in sorted order
-            for e, f in zip(ordered, ordered[1:]):
-                if e == f:
-                    raise ContractError(f"duplicate member edge {e}")
-            for e in ordered:
-                if e not in host.edge_set:
-                    raise ContractError(f"edge {e} is not an edge of the host graph")
-        return cls(host, ordered)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
-    def is_spanning_tree(self) -> bool:
-        n = self.host.n
-        if len(self.edges) != n - 1:
-            return False
-        return len(components(n, self.edges)) == 1
+        return self.n <= 1 or len(bfs_tree(self.n, self.edges)[1]) == self.n
 
 
 class TreePacking(NamedTuple):
     """Pairwise edge-disjoint spanning trees of a common host graph.
 
-    ``method`` records provenance: constructed-cartesian, constructed-lex,
-    oracle, or user.
+    A tree is a sorted tuple of (min, max) edges; the packing alone holds
+    the host.  ``method`` records provenance: constructed-cartesian,
+    constructed-lex, oracle, or user.
     """
 
     host: Graph
-    trees: tuple[EdgeSet, ...]
+    trees: tuple[tuple[Edge, ...], ...]
     method: str = "user"
 
 

@@ -7,11 +7,9 @@ bundle matchings live on ``ProductGraph.matching_copy``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .core import (ContractError, Edge, EdgeSet, ExtractionError, Graph,
-                   normalize_edge)
+from .core import ContractError, Edge, ExtractionError, bfs_tree, normalize_edge
 
 
 class RootedTree(NamedTuple):
@@ -26,33 +24,17 @@ class RootedTree(NamedTuple):
             yield self.parent[v], v
 
 
-def _bfs(n: int, edges: EdgeSet) -> tuple[list[int], list[int]]:
-    """Parent pointers (-1: unreached) and discovery order of a breadth-first
-    search from vertex 0 that scans neighbors in ascending order."""
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-    return parent, order
+def root_tree(n: int, tree: tuple[Edge, ...]) -> RootedTree:
+    """Root a spanning tree of the vertices 0..n-1 at vertex 0.
 
-
-def root_tree(tree: EdgeSet) -> RootedTree:
-    n = tree.host.n
-    if not tree.is_spanning_tree():
-        raise ContractError("input is not a spanning tree of its host")
-    parent, order = _bfs(n, tree)
-    return RootedTree(tuple(parent), tuple(order))
+    Raises ContractError unless the tree has n-1 edges inside 0..n-1 and
+    reaches all n vertices, which together make it a spanning tree.
+    """
+    if len(tree) == n - 1 and all(0 <= v < n for e in tree for v in e):
+        parent, order = bfs_tree(n, tree)
+        if len(order) == n:
+            return RootedTree(tuple(parent), tuple(order))
+    raise ContractError("input is not a spanning tree of its host")
 
 
 class LeafSplit(NamedTuple):
@@ -62,20 +44,19 @@ class LeafSplit(NamedTuple):
     touches the subtree in exactly one vertex, its attachment root.
     """
 
-    subtree: EdgeSet
+    subtree: tuple[Edge, ...]
     subtree_vertices: frozenset[int]
-    forest: EdgeSet
+    forest: tuple[Edge, ...]
 
 
-def leaf_split(tree: EdgeSet) -> LeafSplit:
-    """Delete leaves until ceil(n/2) vertices remain.
+def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
+    """Delete leaves of a spanning tree of 0..n-1 until ceil(n/2) vertices
+    remain.
 
     Deterministic: each step removes the current leaf with the smallest
-    vertex index.
+    vertex index.  Raises ContractError as ``root_tree`` does.
     """
-    if not tree.is_spanning_tree():
-        raise ContractError("input is not a spanning tree of its host")
-    n = tree.host.n
+    root_tree(n, tree)
     target = (n + 1) // 2
     degree: dict[int, int] = {v: 0 for v in range(n)}
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -97,20 +78,19 @@ def leaf_split(tree: EdgeSet) -> LeafSplit:
         adj[leaf].clear()
         degree[leaf] = 0
     gone = set(deleted)
-    subtree = EdgeSet.of(tree.host, tuple(e for e in tree if e not in gone))
-    forest = EdgeSet.of(tree.host, deleted)
-    return LeafSplit(subtree, frozenset(alive), forest)
+    subtree = tuple(e for e in tree if e not in gone)
+    return LeafSplit(subtree, frozenset(alive), tuple(sorted(deleted)))
 
 
-def extract_spanning_tree(host: Graph, sub: EdgeSet) -> EdgeSet:
-    """Breadth-first spanning tree of a connected spanning subgraph.
+def extract_spanning_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Breadth-first spanning tree of a connected subgraph on 0..n-1.
 
     Deterministic: search starts at vertex 0 and scans neighbors in ascending
-    order, so the same input always yields the same tree.
+    order, so the same edges in any order always yield the same tree.
     """
-    parent, order = _bfs(host.n, sub)
-    if len(order) < host.n:
+    parent, order = bfs_tree(n, edges)
+    if len(order) < n:
         v = parent.index(-1)
         raise ExtractionError(
             f"vertex {v} is not reachable from vertex 0 in the subgraph")
-    return EdgeSet.of(host, [normalize_edge(parent[w], w) for w in order[1:]])
+    return tuple(sorted(normalize_edge(parent[w], w) for w in order[1:]))

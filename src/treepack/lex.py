@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
-                   TreePacking)
+from .core import ConstructionError, Edge, Graph, InputError, TreePacking
 from .decomp import extract_spanning_tree, root_tree
 from .products import lexicographic
 from .verify import check_packing, verify_packing
@@ -76,14 +75,14 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # (i, j) is matching_copy(oriented[i], j): n2 components, each meeting
     # every fiber once; this orientation makes the n2 subgraphs of one tree
     # edge-disjoint.
-    oriented = [list(root_tree(t).edges_bfs()) for t in pack_g.trees]
+    oriented = [list(root_tree(n1, t).edges_bfs()) for t in pack_g.trees]
 
-    def make_tree(edges: list[Edge]) -> EdgeSet:
+    def make_tree(edges: list[Edge]) -> tuple[Edge, ...]:
         # (min, max) copies of checked factor trees: the verify_packing
         # below is their only check
-        return EdgeSet(product.graph, tuple(sorted(edges)))
+        return tuple(sorted(edges))
 
-    def section_tree(t: int, v: int) -> EdgeSet:
+    def section_tree(t: int, v: int) -> tuple[Edge, ...]:
         """Every fiber copy of H-tree t, joined by the cross-section copy at v
         of the held-back last G-tree."""
         edges = product.cross_section_copy(pack_g.trees[k - 1], v)
@@ -92,7 +91,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
         return make_tree(edges)
 
     reserved = (k - 1, n2)   # the identity matching of the last G-tree
-    trees: list[EdgeSet] = []
+    trees: list[tuple[Edge, ...]] = []
 
     if plan.case == BALANCED:
         subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)]
@@ -151,8 +150,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 f"cycle budget exceeded: {len(singles)} subgraphs for "
                 f"{len(cycles)} cycles")
         for (i, j), cyc in zip(singles, cycles):
-            spanning = make_tree(product.matching_copy(oriented[i], j) + cyc)
-            trees.append(extract_spanning_tree(product.graph, spanning))
+            trees.append(extract_spanning_tree(
+                product.graph.n, product.matching_copy(oriented[i], j) + cyc))
 
     if len(trees) != plan.tree_count:
         raise ConstructionError(

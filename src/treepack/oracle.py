@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import (ConstructionError, Edge, EdgeSet, Graph, InputError,
-                   TreePacking)
+from .core import ConstructionError, Edge, Graph, InputError, TreePacking
 
 Label = tuple[Edge, int]
 
@@ -165,7 +164,7 @@ class _ForestFamily:
         per: list[list[Edge]] = [[] for _ in self.adj]
         for e, i in self.owner.items():
             per[i].append(e)
-        trees = tuple(EdgeSet.of(g, sorted(bucket)) for bucket in per)
+        trees = tuple(tuple(sorted(bucket)) for bucket in per)
         return TreePacking(g, trees, method="oracle")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .core import ContractError, Edge, EdgeSet, Graph, TreePacking
+from .core import ContractError, Edge, Graph, TreePacking
 
 
 class Check(NamedTuple):
@@ -54,10 +54,10 @@ class _Roots(dict):
         return v
 
 
-def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
+def _tree_checks(host: Graph, t: tuple[Edge, ...], tag: str) -> list[Check]:
     n = host.n
     checks = []
-    stray = ([] if host.edge_set.issuperset(t.edges)
+    stray = ([] if host.edge_set.issuperset(t)
              else [e for e in t if e not in host.edge_set])
     checks.append(Check(f"{tag}: edges belong to host", not stray,
                         stray[0] if stray else None))
@@ -106,14 +106,14 @@ def _tree_checks(host: Graph, t: EdgeSet, tag: str) -> list[Check]:
 
 def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     """Pass iff every tree verifies and no edge is used twice."""
+    trees = packing.trees
     checks: list[Check] = []
-    for idx, t in enumerate(packing.trees):
+    for idx, t in enumerate(trees):
         checks.extend(_tree_checks(host, t, f"tree {idx}"))
     clash = None
-    edges = [t.edges for t in packing.trees]
-    if len(set().union(*edges)) != sum(map(len, edges)):
+    if len(set().union(*trees)) != sum(map(len, trees)):
         seen: dict[Edge, int] = {}
-        for idx, t in enumerate(edges):  # name the first shared edge
+        for idx, t in enumerate(trees):  # name the first shared edge
             for e in t:
                 if e in seen:
                     clash = (e, seen[e], idx)
@@ -124,7 +124,7 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     checks.append(Check(
         "trees pairwise edge-disjoint", clash is None,
         f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None))
-    subject = f"packing of {len(packing.trees)} trees ({packing.method})"
+    subject = f"packing of {len(trees)} trees ({packing.method})"
     return VerificationReport(subject, tuple(checks))
 
 
@@ -134,7 +134,7 @@ def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     Beyond the host match and the tree count, this is ``verify_packing``:
     the message names the role and the first failing check with its witness.
     """
-    if packing.host.n != host.n or packing.host.edges != host.edges:
+    if packing.host != host:
         raise ContractError(f"{role}: packing host does not match the graph")
     if len(packing.trees) < 1:
         raise ContractError(f"{role}: packing must contain at least one tree")

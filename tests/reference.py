@@ -1,18 +1,55 @@
 """Independent references the tests check treepack against.
 
-Each is slow or small-scale on purpose: an exhaustive partition search, and
-the graphs of the catalogued closed forms with a check of one row against
-the exact oracle.
+Each is slow or small-scale on purpose: a connected-components search, an
+exhaustive partition search, and the graphs of the catalogued closed forms
+with a check of one row against the exact oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterable
+
 from treepack.catalogue import proposition_value
-from treepack.core import (ConstructionError, Graph, InputError, SizeError,
-                           complete, complete_multipartite, cycle, hypercube)
+from treepack.core import (ConstructionError, Edge, Graph, InputError,
+                           SizeError, complete, complete_multipartite, cycle,
+                           hypercube)
 from treepack.oracle import TutteCertificate, max_packing
 from treepack.products import cartesian
 from treepack.verify import Check, VerificationReport
+
+
+def as_tree(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """A tree as treepack holds it: the sorted tuple of its (min, max) edges."""
+    return tuple(sorted((a, b) if a < b else (b, a) for a, b in edges))
+
+
+def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of (0..n-1, edges), singletons included.
+
+    Blocks are sorted internally and ordered by smallest member.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    block.append(w)
+                    queue.append(w)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 def tutte_bruteforce(g: Graph) -> TutteCertificate:

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
-from treepack.core import (ConstructionError, ContractError, EdgeSet, Graph,
-                           InputError, TreePacking, complete,
-                           complete_multipartite, cycle, hypercube, path)
+from treepack.core import (ContractError, Graph, InputError, TreePacking,
+                           complete, complete_multipartite, cycle, hypercube,
+                           path)
 from treepack.decomp import leaf_split, root_tree
 from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import verify_packing
 
 
-def spanning(g: Graph) -> EdgeSet:
+def spanning(g: Graph) -> tuple:
     return max_packing(g).packing.trees[0]
 
 
@@ -24,13 +24,13 @@ def test_cartesian_bound():
         cartesian_bound(0, 1)
 
 
-def _fiber_part(tree: EdgeSet, u: int, n2: int) -> set:
+def _fiber_part(tree: tuple, u: int, n2: int) -> set:
     """The tree's edges inside fiber u, as second-factor edges."""
     return {(a - u * n2, b - u * n2) for a, b in tree
             if a // n2 == b // n2 == u}
 
 
-def _rungs(tree: EdgeSet, u: int, w: int, n2: int) -> list[int]:
+def _rungs(tree: tuple, u: int, w: int, n2: int) -> list[int]:
     """Second coordinates of the tree's rungs between fibers u < w."""
     return sorted(a % n2 for a, b in tree if a // n2 == u and b // n2 == w)
 
@@ -42,11 +42,11 @@ def test_default_assignment_counts():
     g, h = complete(6), cycle(5)
     pg, ph = max_packing(g).packing, max_packing(h).packing
     backbone = pack_cartesian(g, h, pg, ph).trees[-1]
-    tk = root_tree(pg.trees[-1])
-    split = leaf_split(ph.trees[-1])
-    assert _fiber_part(backbone, 0, h.n) == set(ph.trees[-1].edges)
+    tk = root_tree(g.n, pg.trees[-1])
+    split = leaf_split(h.n, ph.trees[-1])
+    assert _fiber_part(backbone, 0, h.n) == set(ph.trees[-1])
     parts = [_fiber_part(backbone, f, h.n) for f in tk.order[1:]]
-    assert parts == [set(split.subtree.edges)] * 2 + [set(split.forest.edges)] * 3
+    assert parts == [set(split.subtree)] * 2 + [set(split.forest)] * 3
 
 
 def test_plan_cross_edges_known_split():
@@ -55,8 +55,8 @@ def test_plan_cross_edges_known_split():
     host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
     g = path(3)
     (backbone,) = pack_cartesian(
-        g, host, TreePacking(g, (EdgeSet.of(g, g.edges),)),
-        TreePacking(host, (EdgeSet.of(host, host.edges),))).trees
+        g, host, TreePacking(g, (g.edges,)),
+        TreePacking(host, (host.edges,))).trees
     assert _rungs(backbone, 0, 1, 7) == [0, 1, 2, 3]   # dropped + anchor
     assert _rungs(backbone, 1, 2, 7) == [3, 4, 5, 6]   # at kept vertices
 
@@ -71,11 +71,11 @@ def test_plan_partitions_every_bundle():
     product = cartesian(g, h)
     h_trees = out.trees[k - 1:-1]
     assert len(h_trees) == ell - 1 == 2
-    tk = root_tree(pg.trees[-1])
+    tk = root_tree(g.n, pg.trees[-1])
     for parent, child in tk.edges_bfs():
         rungs = product.matching_copy([(parent, child)], h.n)
-        leftover = [r for r in rungs if r not in out.trees[-1].edges]
-        assert [[r for r in rungs if r in t.edges] for t in h_trees] == [
+        leftover = [r for r in rungs if r not in out.trees[-1]]
+        assert [[r for r in rungs if r in t] for t in h_trees] == [
             [r] for r in leftover[:ell - 1]]
 
 
@@ -119,7 +119,7 @@ def test_pack_cartesian_output_order():
     ph = max_packing(h).packing
     out = pack_cartesian(g, h, pg, ph)
     # a group-(a) tree contains every cross-section copy of first factor tree 0
-    first = set(out.trees[0].edges)
+    first = set(out.trees[0])
     for v in range(h.n):
         for a, b in pg.trees[0]:
             assert (a * h.n + v, b * h.n + v) in first
@@ -127,7 +127,7 @@ def test_pack_cartesian_output_order():
 
 def test_pack_cartesian_single_vertex_factor():
     k1 = path(1)
-    pk1 = TreePacking(k1, (EdgeSet.of(k1, ()),))
+    pk1 = TreePacking(k1, ((),))
     k4 = complete(4)
     pk4 = max_packing(k4).packing
     left = pack_cartesian(k4, k1, pk4, pk1)
@@ -140,7 +140,7 @@ def test_pack_cartesian_rejects_bad_packings():
     k4 = complete(4)
     pk4 = max_packing(k4).packing
     p3 = path(3)
-    cyclic = TreePacking(k4, (EdgeSet.of(k4, [(0, 1), (1, 2), (0, 2)]),))
+    cyclic = TreePacking(k4, (((0, 1), (0, 2), (1, 2)),))
     with pytest.raises(ContractError, match="tree 0"):
         pack_cartesian(k4, p3, cyclic, max_packing(p3).packing)
     with pytest.raises(ContractError, match="host"):

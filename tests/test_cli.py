@@ -375,3 +375,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", str(GOLDEN / "k6.graph"), str(GOLDEN / "k6.factor.json")],
+    ["table"],
+])
+def test_out_is_a_usage_error_where_nothing_is_written(capsys, tmp_path, argv):
+    # verify and table print their report; they take no --out
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(target)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not target.exists()

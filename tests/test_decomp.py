@@ -4,79 +4,96 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (ContractError, EdgeSet, ExtractionError, Graph,
-                           complete, components, cycle, path)
+from treepack.core import (ContractError, ExtractionError, Graph, complete,
+                           cycle, path)
 from treepack.decomp import extract_spanning_tree, leaf_split, root_tree
 from treepack.products import lexicographic
 
-
-def _tree(host: Graph) -> EdgeSet:
-    return extract_spanning_tree(host, EdgeSet.of(host, host.edges))
+from reference import as_tree, components
 
 
-def _forest_components(sp) -> tuple:
+def _forest_components(n: int, sp) -> tuple:
     """Vertex sets of a leaf split's forest components (no singletons)."""
-    return tuple(c for c in components(sp.forest.host.n, sp.forest.edges)
-                 if len(c) > 1)
+    return tuple(c for c in components(n, sp.forest) if len(c) > 1)
 
 
 def _forest_vertices(sp) -> frozenset:
     """Endpoints of the edges a leaf split deleted."""
-    return frozenset(v for e in sp.forest.edges for v in e)
+    return frozenset(v for e in sp.forest for v in e)
 
 
 def test_root_tree_orders_breadth_first():
     g = path(4)
-    rt = root_tree(EdgeSet.of(g, g.edges))
+    rt = root_tree(g.n, g.edges)
     assert rt.order == (0, 1, 2, 3)
     assert rt.parent == (0, 0, 1, 2)
     assert list(rt.edges_bfs()) == [(0, 1), (1, 2), (2, 3)]
     # neighbors are scanned in ascending order
-    star = EdgeSet.of(complete(4), [(0, 3), (1, 3), (2, 3)])
-    assert root_tree(star).order == (0, 3, 1, 2)
+    star = as_tree([(0, 3), (1, 3), (2, 3)])
+    assert root_tree(4, star).order == (0, 3, 1, 2)
 
 
 def test_root_tree_rejects_non_trees():
     g = cycle(4)
-    with pytest.raises(ContractError):
-        root_tree(EdgeSet.of(g, g.edges))
-    with pytest.raises(ContractError):
-        root_tree(EdgeSet.of(g, [(0, 1)]))
-    # leaf_split takes the tree itself and makes the same check
-    with pytest.raises(ContractError):
-        leaf_split(EdgeSet.of(g, g.edges))
-    assert leaf_split(_tree(g)).subtree_vertices == frozenset({0, 3})
+    # n-1 edges closing a cycle leave vertex 3 unreached
+    triangle = as_tree([(0, 1), (0, 2), (1, 2)])
+    outside = [as_tree([(0, 1), (1, 2), (2, 4)]), as_tree([(-1, 0), (0, 1), (1, 2)])]
+    for bad in (g.edges, as_tree([(0, 1)]), triangle, *outside):
+        with pytest.raises(ContractError):
+            root_tree(g.n, bad)
+        # leaf_split takes the tree itself and makes the same check
+        with pytest.raises(ContractError):
+            leaf_split(g.n, bad)
+    tree = extract_spanning_tree(g.n, g.edges)
+    assert leaf_split(g.n, tree).subtree_vertices == frozenset({0, 3})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=n + 1))))
+def test_root_tree_raises_exactly_on_non_spanning_trees(case):
+    """root_tree and leaf_split accept exactly the spanning trees, as the
+    reference components search tells them."""
+    n, pairs = case
+    tree = as_tree({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    spanning = len(tree) == n - 1 and len(components(n, tree)) == 1
+    for call in (root_tree, leaf_split):
+        if spanning:
+            call(n, tree)
+        else:
+            with pytest.raises(ContractError):
+                call(n, tree)
 
 
 def test_leaf_split_known_seven_vertex_tree():
     # star-like tree whose deterministic split keeps {3,4,5,6}
     host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
-    sp = leaf_split(EdgeSet.of(host, host.edges))
-    assert sp.subtree.edges == ((3, 4), (3, 5), (3, 6))
+    sp = leaf_split(host.n, host.edges)
+    assert sp.subtree == ((3, 4), (3, 5), (3, 6))
     assert sp.subtree_vertices == frozenset({3, 4, 5, 6})
-    assert sp.forest.edges == ((0, 3), (1, 5), (2, 5))
+    assert sp.forest == ((0, 3), (1, 5), (2, 5))
     assert _forest_vertices(sp) == frozenset({0, 1, 2, 3, 5})
     # attachment roots: kept vertices the forest touches
     assert sp.subtree_vertices & _forest_vertices(sp) == frozenset({3, 5})
-    assert _forest_components(sp) == ((0, 3), (1, 2, 5))
+    assert _forest_components(host.n, sp) == ((0, 3), (1, 2, 5))
 
 
 def test_leaf_split_path_and_single_edge():
     p4 = path(4)
-    sp = leaf_split(EdgeSet.of(p4, p4.edges))
+    sp = leaf_split(p4.n, p4.edges)
     assert sp.subtree_vertices == frozenset({2, 3})
-    assert sp.forest.edges == ((0, 1), (1, 2))
+    assert sp.forest == ((0, 1), (1, 2))
 
     p2 = path(2)
-    sp2 = leaf_split(EdgeSet.of(p2, p2.edges))
+    sp2 = leaf_split(p2.n, p2.edges)
     assert sp2.subtree_vertices == frozenset({1})
-    assert sp2.subtree.edges == ()
-    assert sp2.forest.edges == ((0, 1),)
+    assert sp2.subtree == ()
+    assert sp2.forest == ((0, 1),)
 
-    p1 = path(1)
-    sp3 = leaf_split(EdgeSet.of(p1, ()))
+    sp3 = leaf_split(1, ())
     assert sp3.subtree_vertices == frozenset({0})
-    assert sp3.forest.edges == ()
+    assert sp3.forest == ()
 
 
 def test_leaf_split_invariants_random_trees():
@@ -85,15 +102,15 @@ def test_leaf_split_invariants_random_trees():
         n = rng.randint(1, 12)
         edges = sorted((rng.randrange(v), v) for v in range(1, n))
         host = Graph.from_edges(n, edges)
-        sp = leaf_split(EdgeSet.of(host, host.edges))
+        sp = leaf_split(n, host.edges)
         assert len(sp.subtree_vertices) == (n + 1) // 2
         assert len(sp.forest) == n // 2
-        assert set(sp.subtree.edges) | set(sp.forest.edges) == set(edges)
-        assert not set(sp.subtree.edges) & set(sp.forest.edges)
+        assert set(sp.subtree) | set(sp.forest) == set(edges)
+        assert not set(sp.subtree) & set(sp.forest)
         # kept part is a tree on its vertex set
         assert len(sp.subtree) == len(sp.subtree_vertices) - 1
         # each forest component holds exactly one kept vertex
-        for comp in _forest_components(sp):
+        for comp in _forest_components(n, sp):
             assert len(set(comp) & sp.subtree_vertices) == 1
         # dropped vertices all appear in the forest
         dropped = set(range(n)) - sp.subtree_vertices
@@ -193,7 +210,7 @@ def test_parallel_subgraph_lex_components():
     oriented from root 0, as pack_lex takes it."""
     g, h = path(3), complete(4)
     p = lexicographic(g, h)
-    oriented = list(root_tree(EdgeSet.of(g, g.edges)).edges_bfs())
+    oriented = list(root_tree(g.n, g.edges).edges_bfs())
     for j in range(1, 5):
         ps = p.matching_copy(oriented, j)
         assert len(ps) == (g.n - 1) * h.n
@@ -210,10 +227,10 @@ def test_parallel_subgraph_lex_components():
 
 def test_extract_spanning_tree():
     c4 = cycle(4)
-    full = EdgeSet.of(c4, c4.edges)
-    ext = extract_spanning_tree(c4, full)
-    assert ext.edges == ((0, 1), (0, 3), (1, 2))
-    # a spanning tree comes back unchanged
-    assert extract_spanning_tree(c4, ext).edges == ext.edges
+    ext = extract_spanning_tree(c4.n, c4.edges)
+    assert ext == ((0, 1), (0, 3), (1, 2))
+    # a spanning tree comes back unchanged, and edge order does not matter
+    assert extract_spanning_tree(c4.n, ext) == ext
+    assert extract_spanning_tree(c4.n, [(2, 3), (1, 2), (0, 3), (0, 1)]) == ext
     with pytest.raises(ExtractionError, match="vertex 3"):
-        extract_spanning_tree(c4, EdgeSet.of(c4, [(0, 1), (1, 2)]))
+        extract_spanning_tree(c4.n, [(0, 1), (1, 2)])

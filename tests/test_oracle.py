@@ -158,7 +158,7 @@ def test_oracle_deterministic():
     g = cartesian(complete(4), complete(4)).graph
     a = max_packing(g)
     b = max_packing(g)
-    assert [t.edges for t in a.packing.trees] == [t.edges for t in b.packing.trees]
+    assert a.packing.trees == b.packing.trees
     assert a.certificate == b.certificate
 
 

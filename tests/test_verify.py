@@ -9,23 +9,23 @@ from hypothesis import strategies as st
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
 from treepack.catalogue import proposition_value
-from treepack.core import (EdgeSet, Graph, SizeError, TreePacking, complete,
-                           components, cycle, path)
+from treepack.core import Graph, SizeError, TreePacking, complete, cycle, path
 from treepack.lex import lex_bound, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import verify_packing
 
-from reference import proposition_graph, verify_proposition_row
+from reference import (as_tree, components, proposition_graph,
+                       verify_proposition_row)
 
 
-def _one_tree(host: Graph, t: EdgeSet):
+def _one_tree(host: Graph, t: tuple):
     return verify_packing(host, TreePacking(host, (t,)))
 
 
 def test_verify_tree_passes_on_spanning_tree():
     c4 = cycle(4)
-    t = EdgeSet.of(c4, [(0, 1), (1, 2), (2, 3)])
+    t = as_tree([(0, 1), (1, 2), (2, 3)])
     report = _one_tree(c4, t)
     assert report.overall
     assert all(c.passed for c in report.checks)
@@ -33,7 +33,7 @@ def test_verify_tree_passes_on_spanning_tree():
 
 def test_verify_tree_fails_on_cycle_with_witness():
     c4 = cycle(4)
-    report = _one_tree(c4, EdgeSet.of(c4, c4.edges))
+    report = _one_tree(c4, c4.edges)
     assert not report.overall
     names = {c.name: c for c in report.checks}
     count = names["tree 0: edge count is n-1"]
@@ -44,7 +44,7 @@ def test_verify_tree_fails_on_cycle_with_witness():
 
 def test_verify_tree_fails_on_disconnected_with_witness():
     host = complete(4)
-    two = EdgeSet.of(host, [(0, 1), (2, 3)])
+    two = as_tree([(0, 1), (2, 3)])
     report = _one_tree(host, two)
     assert not report.overall
     spanning = [c for c in report.checks if "connects" in c.name][0]
@@ -54,7 +54,7 @@ def test_verify_tree_fails_on_disconnected_with_witness():
 
 def test_verify_tree_flags_foreign_edges():
     p3 = path(3)
-    stray = EdgeSet(p3, ((0, 2), (0, 1)))   # (0,2) is not a path edge
+    stray = as_tree([(0, 2), (0, 1)])   # (0,2) is not a path edge
     report = _one_tree(p3, stray)
     member = [c for c in report.checks if "belong" in c.name][0]
     assert not member.passed and member.witness == (0, 2)
@@ -63,7 +63,7 @@ def test_verify_tree_flags_foreign_edges():
 @pytest.mark.parametrize("bad", [(2, 9), (-1, 2)])
 def test_verify_flags_out_of_range_vertices(bad):
     k4 = complete(4)
-    report = _one_tree(k4, EdgeSet(k4, ((0, 1), bad)))
+    report = _one_tree(k4, ((0, 1), bad))
     assert not report.overall
     rng = [c for c in report.checks if "range" in c.name][0]
     assert not rng.passed and str(bad) in rng.witness
@@ -72,7 +72,7 @@ def test_verify_flags_out_of_range_vertices(bad):
 def test_empty_trees_on_a_huge_host_verify_in_bounded_memory():
     # a tree short of n-1 edges costs O(its edges), not O(n)
     host = Graph(2_000_001, ())
-    packing = TreePacking(host, (EdgeSet(host, ()),) * 30)
+    packing = TreePacking(host, ((),) * 30)
     tracemalloc.start()
     try:
         report = verify_packing(host, packing)
@@ -97,7 +97,7 @@ def test_separated_witness_is_smallest_vertex_off_component_of_0(case):
     n, pairs = case
     edges = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
     host = complete(n)
-    report = _one_tree(host, EdgeSet(host, tuple(edges)))
+    report = _one_tree(host, tuple(edges))
     spans = [c for c in report.checks if "connects" in c.name][0]
     kept = []   # the edges the union-find merged before the cycle, if any
     for e in edges:
@@ -123,7 +123,7 @@ def test_verify_packing_accepts_oracle_output():
 def test_verify_packing_mutations_fail():
     g = cartesian(complete(4), complete(4)).graph
     packing = max_packing(g).packing
-    trees = [list(t.edges) for t in packing.trees]
+    trees = [list(t) for t in packing.trees]
 
     # drop an edge from one tree
     broken = [list(t) for t in trees]
@@ -145,15 +145,17 @@ def test_verify_packing_mutations_fail():
     shared = [c for c in rep.checks if "disjoint" in c.name][0]
     assert not shared.passed
 
-    # duplicate an edge inside one tree
+    # duplicate an edge inside one tree: its second copy closes a cycle
     doubled = [list(t) for t in trees]
     doubled[0][-1] = doubled[0][0]
     rep = verify_packing(g, _mk(g, doubled))
     assert not rep.overall
+    acyc = [c for c in rep.checks if c.name == "tree 0: acyclic"][0]
+    assert not acyc.passed and "closes a cycle" in str(acyc.witness)
 
 
 def _mk(g, edge_lists):
-    return TreePacking(g, tuple(EdgeSet(g, tuple(sorted(e))) for e in edge_lists))
+    return TreePacking(g, tuple(tuple(sorted(e)) for e in edge_lists))
 
 
 def _valid_packing(name):
@@ -200,7 +202,7 @@ def _add_chord(host, trees):
 def test_verify_packing_single_mutation_fails_with_witness(name, mutate):
     packing = _valid_packing(name)
     host = packing.host
-    trees = [list(t.edges) for t in packing.trees]
+    trees = [list(t) for t in packing.trees]
     expected = mutate(host, trees)
     report = verify_packing(host, _mk(host, trees))
     assert not report.overall
