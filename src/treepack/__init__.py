@@ -17,13 +17,13 @@ _EXPORTS = {
     "cartesian": ("cartesian_bound", "pack_cartesian"),
     "catalogue": ("proposition_value",),
     "core": ("ConstructionError", "ContractError", "Edge", "ExtractionError",
-             "FamilySpec", "Graph", "InputError", "ParameterError",
-             "ParseError", "SizeError", "TreePacking", "complete",
-             "complete_minus_edge", "complete_multipartite", "cycle",
-             "generate", "hypercube", "path", "read_graph", "write_graph"),
+             "Graph", "InputError", "ParameterError", "ParseError",
+             "SizeError", "TreePacking", "complete", "complete_minus_edge",
+             "complete_multipartite", "cycle", "hypercube", "path",
+             "read_graph", "write_graph"),
     "decomp": ("LeafSplit", "RootedTree", "extract_spanning_tree", "leaf_split",
                "root_tree"),
-    "lex": ("LexPlan", "lex_bound", "lex_plan", "pack_lex"),
+    "lex": ("LexPlan", "lex_plan", "pack_lex"),
     "oracle": ("OracleResult", "TutteCertificate", "max_packing"),
     "products": ("ProductGraph", "lexicographic", "write_product"),
     "verify": ("Check", "VerificationReport", "verify_packing"),

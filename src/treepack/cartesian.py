@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import ConstructionError, Edge, Graph, InputError, TreePacking
 from .decomp import leaf_split, root_tree
 from .products import cartesian
-from .verify import check_packing, verify_packing
+from .verify import check_packing, verified_packing
 
 
 def cartesian_bound(k: int, ell: int) -> int:
@@ -77,8 +77,8 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
             f"not enough leftover rungs: need {ell - 1} per bundle, "
             f"have {min_leftover}")
 
-    # (min, max) copies of checked factor trees: the verify_packing below
-    # is their only check
+    # (min, max) copies of checked factor trees: verified_packing below is
+    # their only check
     trees: list[tuple[Edge, ...]] = []
     for i in range(k - 1):
         edges = product.fiber_copy(split.subtree, free_subtree[i])
@@ -93,12 +93,5 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
         trees.append(tuple(sorted(edges)))
     trees.append(tuple(sorted(backbone)))
 
-    packing = TreePacking(product.graph, tuple(trees), "constructed-cartesian")
-    if len(trees) != cartesian_bound(k, ell):
-        raise ConstructionError(
-            f"internal: built {len(trees)} trees, expected {k + ell - 1}")
-    report = verify_packing(product.graph, packing)
-    if not report.overall:
-        raise ConstructionError(
-            "internal: constructed packing invalid\n" + report.render())
-    return packing
+    return verified_packing(product.graph, trees, "constructed-cartesian",
+                            cartesian_bound(k, ell))

@@ -24,13 +24,14 @@ if TYPE_CHECKING:
 # products.CARTESIAN and LEXICOGRAPHIC, spelled out so the parser imports nothing
 PRODUCT_KINDS = ("cartesian", "lex")
 
-FAMILY_CLI_NAMES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "multipartite": "complete_multipartite",
-    "hypercube": "hypercube",
-    "complete-minus-edge": "complete_minus_edge",
+# CLI family name -> (constructor in treepack.core, parameter count)
+FAMILIES = {
+    "path": ("path", 1),
+    "cycle": ("cycle", 1),
+    "complete": ("complete", 1),
+    "multipartite": ("complete_multipartite", 2),
+    "hypercube": ("hypercube", 1),
+    "complete-minus-edge": ("complete_minus_edge", 1),
 }
 
 
@@ -64,12 +65,13 @@ def _graph_record(g: Graph) -> dict[str, Any]:
     return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
 
 
-def _packing_record(graph_ref: str, packing: TreePacking, bound: int,
+def _packing_record(graph_ref: str, packing: TreePacking,
                     verified: bool) -> dict[str, Any]:
+    """A packing file; its bound is its tree count (sigma for the oracle)."""
     return {
         "graph": graph_ref,
         "method": packing.method,
-        "bound": bound,
+        "bound": len(packing.trees),
         "trees": [[list(e) for e in t] for t in packing.trees],
         "verified": verified,
     }
@@ -106,10 +108,13 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    from .core import FamilySpec, generate, write_graph
-    kind = FAMILY_CLI_NAMES[args.family]
-    g = generate(FamilySpec(kind, tuple(args.params)))
-    text = write_graph(g, [f"family {args.family} {' '.join(map(str, args.params))}"])
+    from . import core
+    name, count = FAMILIES[args.family]
+    if len(args.params) != count:
+        raise core.ParameterError(
+            f"{name} takes {count} parameter(s), got {len(args.params)}")
+    g = getattr(core, name)(*args.params)
+    text = core.write_graph(g, [f"family {args.family} {' '.join(map(str, args.params))}"])
     if args.out:
         _write_out(args.out, text)
     else:
@@ -162,40 +167,41 @@ def _oracle_packing(g: Graph) -> TreePacking:
     return max_packing(g).packing
 
 
+def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
+          ph: TreePacking) -> TreePacking:
+    """The verified construction for this product kind; imports only its module."""
+    from .products import CARTESIAN
+    if kind == CARTESIAN:
+        from .cartesian import pack_cartesian
+        return pack_cartesian(g, h, pg, ph)
+    from .lex import pack_lex
+    return pack_lex(g, h, pg, ph)
+
+
 def cmd_pack(args: argparse.Namespace) -> int:
     from .core import read_graph
-    from .products import CARTESIAN, ProductGraph, write_product
+    from .products import ProductGraph, write_product
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     pg, ph = _factor_packings(args, g, h)
-    if args.kind == CARTESIAN:
-        from .cartesian import pack_cartesian
-        packed = pack_cartesian(g, h, pg, ph)
-    else:
-        from .lex import pack_lex
-        packed = pack_lex(g, h, pg, ph)
-    # pack_* checks that it built exactly cartesian_bound / lex_bound trees
-    # and ends in verify_packing; either failure raises ConstructionError
-    bound = len(packed.trees)
-    verified = True
+    packed = _pack(args.kind, g, h, pg, ph)
+    count = len(packed.trees)
     graph_ref = "-"
     if args.out:
         graph_ref = os.path.basename(args.out) + ".graph"
         product = ProductGraph(args.kind, packed.host, g, h)
         _write_out(args.out + ".graph", write_product(product))
-    record = _packing_record(graph_ref, packed, bound, verified)
+    record = _packing_record(graph_ref, packed, True)
     if args.out:
         _write_out(args.out, _dump(record) + "\n")
     else:
         if args.format == "text":
-            sys.stdout.write(
-                f"packed {args.kind} product: {len(packed.trees)} trees "
-                f"(bound {bound}), verified={str(verified).lower()}\n")
+            sys.stdout.write(f"packed {args.kind} product: {count} trees "
+                             f"(bound {count}), verified=true\n")
         else:
             sys.stdout.write(_dump(record) + "\n")
     _emit_run_record(args, [args.kind, args.fileG, args.fileH],
-                     {"trees": len(packed.trees), "bound": bound, "out": args.out},
-                     verified)
+                     {"trees": count, "bound": count, "out": args.out}, True)
     return 0
 
 
@@ -213,8 +219,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "crossing_count": result.certificate.crossing_count,
             "bound": result.certificate.bound,
         },
-        "packing": _packing_record(args.file, result.packing,
-                                   result.sigma, verified),
+        "packing": _packing_record(args.file, result.packing, verified),
     }
     if args.out:
         _write_out(args.out, _dump(record) + "\n")
@@ -250,24 +255,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _run_table_row(row: TableRow) -> dict[str, Any]:
-    from .cartesian import pack_cartesian
-    from .lex import pack_lex
     from .oracle import max_packing
-    from .products import CARTESIAN
     if row.kind is None:
         host = row.g
         bound = None
         verified = None
     else:
-        pg = max_packing(row.g).packing
-        ph = max_packing(row.h).packing
-        if row.kind == CARTESIAN:
-            packed = pack_cartesian(row.g, row.h, pg, ph)
-        else:
-            packed = pack_lex(row.g, row.h, pg, ph)
+        packed = _pack(row.kind, row.g, row.h, max_packing(row.g).packing,
+                       max_packing(row.h).packing)
         host = packed.host
         bound = len(packed.trees)
-        verified = True  # pack_* verifies, as in cmd_pack
+        verified = True  # _pack verifies, as in cmd_pack
     sigma = max_packing(host).sigma
 
     failures = []
@@ -333,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_gen = sub.add_parser("gen", help="generate a named graph family")
-    p_gen.add_argument("family", choices=sorted(FAMILY_CLI_NAMES))
+    p_gen.add_argument("family", choices=sorted(FAMILIES))
     p_gen.add_argument("params", nargs="+", type=int)
     common(p_gen)
     p_gen.set_defaults(func=cmd_gen)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -151,11 +151,6 @@ class TreePacking(NamedTuple):
 # ---------------------------------------------------------------------------
 # standard families
 
-class FamilySpec(NamedTuple):
-    kind: str
-    params: tuple[int, ...]
-
-
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path requires n >= 1, got {n}")
@@ -212,30 +207,6 @@ def complete_minus_edge(n: int) -> Graph:
     check_edge_count(n * (n - 1) // 2 - 1)
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (n - 2, n - 1)]
     return Graph.from_edges(n, edges)
-
-
-# family kind -> (constructor, parameter count)
-FAMILIES: dict[str, tuple[Callable[..., Graph], int]] = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "complete_multipartite": (complete_multipartite, 2),
-    "hypercube": (hypercube, 1),
-    "complete_minus_edge": (complete_minus_edge, 1),
-}
-FAMILY_KINDS = tuple(FAMILIES)
-
-
-def generate(spec: FamilySpec) -> Graph:
-    """Instantiate a named family with canonical vertex numbering."""
-    if spec.kind not in FAMILIES:
-        raise ParameterError(
-            f"unknown family kind {spec.kind!r}; expected one of {FAMILY_KINDS}")
-    make, count = FAMILIES[spec.kind]
-    if len(spec.params) != count:
-        raise ParameterError(
-            f"{spec.kind} takes {count} parameter(s), got {len(spec.params)}")
-    return make(*spec.params)
 
 
 # ---------------------------------------------------------------------------

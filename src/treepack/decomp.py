@@ -58,25 +58,20 @@ def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
     """
     root_tree(n, tree)
     target = (n + 1) // 2
-    degree: dict[int, int] = {v: 0 for v in range(n)}
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for a, b in tree:
-        degree[a] += 1
-        degree[b] += 1
         adj[a].add(b)
         adj[b].add(a)
     alive = set(range(n))
     deleted: list[Edge] = []
+    # the loop runs while a tree of >= 2 vertices is alive, so each of its
+    # leaves has exactly one alive neighbor
     while len(alive) > target:
-        leaf = min(v for v in alive if degree[v] <= 1)
-        (anchor,) = adj[leaf] if adj[leaf] else (leaf,)
-        if adj[leaf]:
-            deleted.append(normalize_edge(leaf, anchor))
-            adj[anchor].discard(leaf)
-            degree[anchor] -= 1
+        leaf = min(v for v in alive if len(adj[v]) == 1)
+        (anchor,) = adj[leaf]
+        deleted.append(normalize_edge(leaf, anchor))
+        adj[anchor].discard(leaf)
         alive.remove(leaf)
-        adj[leaf].clear()
-        degree[leaf] = 0
     gone = set(deleted)
     subtree = tuple(e for e in tree if e not in gone)
     return LeafSplit(subtree, frozenset(alive), tuple(sorted(deleted)))
@@ -86,8 +81,13 @@ def extract_spanning_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """Breadth-first spanning tree of a connected subgraph on 0..n-1.
 
     Deterministic: search starts at vertex 0 and scans neighbors in ascending
-    order, so the same edges in any order always yield the same tree.
+    order, so the same edges in any order always yield the same tree.  Raises
+    ContractError, before the search allocates, when n < 1 or an edge leaves
+    0..n-1.
     """
+    edges = list(edges)
+    if n < 1 or not all(0 <= v < n for e in edges for v in e):
+        raise ContractError("edges must join vertices 0..n-1 of a non-empty graph")
     parent, order = bfs_tree(n, edges)
     if len(order) < n:
         v = parent.index(-1)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .core import ConstructionError, Edge, Graph, InputError, TreePacking
 from .decomp import extract_spanning_tree, root_tree
 from .products import lexicographic
-from .verify import check_packing, verify_packing
+from .verify import check_packing, verified_packing
 
 BALANCED = "balanced"
 H_RICH = "h_rich"
@@ -52,12 +52,6 @@ def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
     return LexPlan(G_RICH, x, k * n2 - 2 * x + ell - 1)
 
 
-def lex_bound(k: int, ell: int, n1: int, n2: int) -> tuple[str, int]:
-    """Guaranteed tree count for the lexicographic product, with its regime."""
-    plan = lex_plan(k, ell, n1, n2)
-    return plan.case, plan.tree_count
-
-
 def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
              pack_h: TreePacking) -> TreePacking:
     """Build the guaranteed number of edge-disjoint spanning trees of G o H."""
@@ -78,8 +72,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     oriented = [list(root_tree(n1, t).edges_bfs()) for t in pack_g.trees]
 
     def make_tree(edges: list[Edge]) -> tuple[Edge, ...]:
-        # (min, max) copies of checked factor trees: the verify_packing
-        # below is their only check
+        # (min, max) copies of checked factor trees: verified_packing below
+        # is their only check
         return tuple(sorted(edges))
 
     def section_tree(t: int, v: int) -> tuple[Edge, ...]:
@@ -153,12 +147,5 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
             trees.append(extract_spanning_tree(
                 product.graph.n, product.matching_copy(oriented[i], j) + cyc))
 
-    if len(trees) != plan.tree_count:
-        raise ConstructionError(
-            f"internal: built {len(trees)} trees, expected {plan.tree_count}")
-    packing = TreePacking(product.graph, tuple(trees), "constructed-lex")
-    report = verify_packing(product.graph, packing)
-    if not report.overall:
-        raise ConstructionError(
-            "internal: constructed packing invalid\n" + report.render())
-    return packing
+    return verified_packing(product.graph, trees, "constructed-lex",
+                            plan.tree_count)

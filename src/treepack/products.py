@@ -59,47 +59,39 @@ class ProductGraph(NamedTuple):
         return out
 
 
-def _check_factors(g: Graph, h: Graph, cross_per_edge: int) -> None:
-    """Reject empty, too large or disconnected factors before any building.
+def _build(kind: str, g: Graph, h: Graph, matchings: range) -> ProductGraph:
+    """Every fiber copy of h plus the given bundle matchings over every g-edge.
 
-    Every first-factor edge carries ``cross_per_edge`` product edges.
+    Empty, too large or disconnected factors are rejected before any
+    building; the edge count is n1*m2 + m1*n2*len(matchings).
     """
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
-    check_edge_count(g.n * h.m + g.m * cross_per_edge, "product")
+    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():
         raise InputError("second factor must be connected")
+    # the copy methods read only the factors, not the graph being built
+    shell = ProductGraph(kind, Graph(0, ()), g, h)
+    edges: list[Edge] = []
+    for u in range(g.n):
+        edges.extend(shell.fiber_copy(h.edges, u))
+    for j in matchings:
+        edges.extend(shell.matching_copy(g.edges, j))
+    # (min, max) pairs of validated factors, unique by construction: no
+    # re-validation through Graph.from_edges
+    return ProductGraph(kind, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product: (u,v)~(u',v') iff u=u' and v~v', or v=v' and u~u'."""
-    _check_factors(g, h, h.n)
-    n2 = h.n
-    edges: list[Edge] = []
-    for u in range(g.n):
-        base = u * n2
-        edges.extend((base + a, base + b) for a, b in h.edges)
-    for a, b in g.edges:
-        edges.extend((a * n2 + v, b * n2 + v) for v in range(n2))
-    # (min, max) pairs of validated factors, unique by construction: no
-    # re-validation through Graph.from_edges
-    return ProductGraph(CARTESIAN, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
+    return _build(CARTESIAN, g, h, range(h.n, h.n + 1))   # the identity, n2
 
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
     """Lexicographic product: (u,v)~(u',v') iff u~u', or u=u' and v~v'."""
-    _check_factors(g, h, h.n * h.n)
-    n2 = h.n
-    edges: list[Edge] = []
-    for u in range(g.n):
-        base = u * n2
-        edges.extend((base + a, base + b) for a, b in h.edges)
-    for a, b in g.edges:
-        edges.extend((a * n2 + x, b * n2 + y) for x in range(n2) for y in range(n2))
-    # unique (min, max) pairs, as in cartesian()
-    return ProductGraph(LEXICOGRAPHIC, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
+    return _build(LEXICOGRAPHIC, g, h, range(1, h.n + 1))   # K_{n2,n2}
 
 
 def write_product(p: ProductGraph) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .core import ContractError, Edge, Graph, TreePacking
+from .core import ConstructionError, ContractError, Edge, Graph, TreePacking
 
 
 class Check(NamedTuple):
@@ -126,6 +126,21 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
         f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None))
     subject = f"packing of {len(trees)} trees ({packing.method})"
     return VerificationReport(subject, tuple(checks))
+
+
+def verified_packing(host: Graph, trees: list[tuple[Edge, ...]], method: str,
+                     expected: int) -> TreePacking:
+    """How every construction ends: ConstructionError unless there are
+    ``expected`` trees and ``verify_packing`` passes them."""
+    if len(trees) != expected:
+        raise ConstructionError(
+            f"internal: built {len(trees)} trees, expected {expected}")
+    packing = TreePacking(host, tuple(trees), method)
+    report = verify_packing(host, packing)
+    if not report.overall:
+        raise ConstructionError(
+            "internal: constructed packing invalid\n" + report.render())
+    return packing
 
 
 def check_packing(packing: TreePacking, host: Graph, role: str) -> None:

@@ -11,7 +11,7 @@ from treepack import (
     complete_multipartite,
     cycle,
     hypercube,
-    lex_bound,
+    lex_plan,
     lexicographic,
     max_packing,
     pack_cartesian,
@@ -142,8 +142,8 @@ def test_criterion_5_lex_small_and_unbalanced_cases():
 
         # tree-rich first factor: K5 o P3, formula value 4, oracle may exceed it
         g, h = complete(5), path(3)
-        case, value = lex_bound(max_packing(g).sigma, max_packing(h).sigma,
-                                g.n, h.n)
+        value = lex_plan(max_packing(g).sigma, max_packing(h).sigma,
+                         g.n, h.n).tree_count
         assert value == 4
         packing = pack_lex(g, h, max_packing(g).packing, max_packing(h).packing)
         assert len(packing.trees) == 4

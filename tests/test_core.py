@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treepack
-from treepack.core import (MAX_EDGES, FamilySpec, Graph, ParameterError,
-                           ParseError, SizeError, complete,
-                           complete_minus_edge, complete_multipartite, cycle,
-                           generate, hypercube, normalize_edge, path,
-                           read_graph, write_graph, ContractError,
-                           TreePacking)
+from treepack.cli import FAMILIES, main
+from treepack.core import (MAX_EDGES, Graph, ParameterError, ParseError,
+                           SizeError, complete, complete_minus_edge,
+                           complete_multipartite, cycle, hypercube,
+                           normalize_edge, path, read_graph, write_graph,
+                           ContractError, TreePacking)
 from treepack.verify import Check, VerificationReport, check_packing
 
 from reference import components
@@ -67,23 +67,35 @@ def test_family_sizes():
     assert km_e.m == 5 and (2, 3) not in km_e.edge_set
 
 
-def test_family_parameter_errors():
-    for bad in (("path", (0,)), ("cycle", (2,)), ("complete", (0,)),
-                ("complete_multipartite", (1, 2)), ("hypercube", (0,)),
-                ("complete_minus_edge", (2,)), ("nonesuch", (3,)),
-                ("path", (1, 2))):
-        with pytest.raises(ParameterError):
-            generate(FamilySpec(bad[0], bad[1]))
+def test_family_parameter_errors(capsys):
+    # out of range: the constructor's ParameterError, and exit 2 on the CLI
+    for name, make, params in (("path", path, (0,)), ("cycle", cycle, (2,)),
+                               ("complete", complete, (0,)),
+                               ("multipartite", complete_multipartite, (1, 2)),
+                               ("hypercube", hypercube, (0,)),
+                               ("complete-minus-edge", complete_minus_edge, (2,))):
+        with pytest.raises(ParameterError) as exc:
+            make(*params)
+        assert main(["gen", name, *map(str, params)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+    for argv, err in ((["path", "1", "2"], "path takes 1 parameter(s), got 2"),
+                      (["multipartite", "3"],
+                       "complete_multipartite takes 2 parameter(s), got 1")):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+    with pytest.raises(SystemExit) as usage:
+        main(["gen", "nonesuch", "3"])
+    assert usage.value.code == 2
 
 
 def test_edge_cap_checked_before_building():
     # every family just past MAX_EDGES edges, and far past it
-    for kind, params in (("path", (MAX_EDGES + 2,)), ("cycle", (MAX_EDGES + 1,)),
-                         ("complete", (2001,)), ("complete_minus_edge", (2002,)),
-                         ("complete_multipartite", (2, 1415)),
-                         ("hypercube", (18,)), ("hypercube", (10 ** 9,))):
+    for make, params in ((path, (MAX_EDGES + 2,)), (cycle, (MAX_EDGES + 1,)),
+                         (complete, (2001,)), (complete_minus_edge, (2002,)),
+                         (complete_multipartite, (2, 1415)),
+                         (hypercube, (18,)), (hypercube, (10 ** 9,))):
         with pytest.raises(SizeError):
-            generate(FamilySpec(kind, params))
+            make(*params)
     assert hypercube(17).m == 17 << 16 <= MAX_EDGES
     for line in (f"p 3 {MAX_EDGES + 1}", f"p {MAX_EDGES + 2} 0"):
         with pytest.raises(SizeError, match="line 1: .* above the cap"):
@@ -129,10 +141,18 @@ def test_carrier_types_are_read_only_values():
             setattr(obj, field, None)
 
 
-def test_generate_matches_direct_builders():
-    assert generate(FamilySpec("cycle", (4,))).edges == cycle(4).edges
-    assert generate(FamilySpec("complete_multipartite", (2, 2))).edges == \
-        complete_multipartite(2, 2).edges
+def test_generate_matches_direct_builders(capsys):
+    cases = (("path", path, (4,)), ("cycle", cycle, (4,)),
+             ("complete", complete, (4,)),
+             ("multipartite", complete_multipartite, (2, 2)),
+             ("hypercube", hypercube, (3,)),
+             ("complete-minus-edge", complete_minus_edge, (4,)))
+    assert sorted(FAMILIES) == sorted(name for name, _, _ in cases)
+    for name, make, params in cases:
+        words = [str(p) for p in params]
+        assert main(["gen", name, *words]) == 0
+        assert capsys.readouterr().out == write_graph(
+            make(*params), [f"family {name} {' '.join(words)}"])
 
 
 def test_edge_list_round_trip():

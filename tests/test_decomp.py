@@ -234,3 +234,7 @@ def test_extract_spanning_tree():
     assert extract_spanning_tree(c4.n, [(2, 3), (1, 2), (0, 3), (0, 1)]) == ext
     with pytest.raises(ExtractionError, match="vertex 3"):
         extract_spanning_tree(c4.n, [(0, 1), (1, 2)])
+    # no vertices, or an endpoint outside 0..n-1: a typed error, not a crash
+    for n, edges in ((0, ()), (3, [(0, 5)]), (3, [(0, -1)])):
+        with pytest.raises(ContractError):
+            extract_spanning_tree(n, edges)

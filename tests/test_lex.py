@@ -3,8 +3,7 @@ import pytest
 from treepack.core import (InputError, TreePacking, complete,
                            complete_minus_edge, complete_multipartite, cycle,
                            path)
-from treepack.lex import (BALANCED, G_RICH, H_RICH, lex_bound, lex_plan,
-                          pack_lex)
+from treepack.lex import BALANCED, G_RICH, H_RICH, lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import lexicographic
 from treepack.verify import verify_packing
@@ -15,13 +14,15 @@ def _packs(g, h):
 
 
 def test_lex_bound_cases():
-    assert lex_bound(1, 2, 3, 4) == (H_RICH, 4)
-    assert lex_bound(1, 1, 2, 2) == (BALANCED, 2)
-    assert lex_bound(2, 1, 5, 3) == (G_RICH, 4)
-    assert lex_bound(1, 1, 4, 3) == (H_RICH, 3 - 1 + 0)
-    assert lex_bound(3, 3, 4, 4) == (BALANCED, 12)
+    for args, case, count in (((1, 2, 3, 4), H_RICH, 4),
+                              ((1, 1, 2, 2), BALANCED, 2),
+                              ((2, 1, 5, 3), G_RICH, 4),
+                              ((1, 1, 4, 3), H_RICH, 3 - 1 + 0),
+                              ((3, 3, 4, 4), BALANCED, 12)):
+        plan = lex_plan(*args)
+        assert (plan.case, plan.tree_count) == (case, count), args
     with pytest.raises(InputError):
-        lex_bound(0, 1, 2, 2)
+        lex_plan(0, 1, 2, 2)
 
 
 def test_lex_plan_budgets():
@@ -74,9 +75,9 @@ def test_pack_lex_more_cases_all_regimes():
     ]
     for g, h in cases:
         pg, ph = _packs(g, h)
-        case, want = lex_bound(len(pg.trees), len(ph.trees), g.n, h.n)
+        plan = lex_plan(len(pg.trees), len(ph.trees), g.n, h.n)
         out = pack_lex(g, h, pg, ph)
-        assert len(out.trees) == want, (case, g.n, h.n)
+        assert len(out.trees) == plan.tree_count, (plan.case, g.n, h.n)
         assert verify_packing(out.host, out).overall
         multiset = [e for t in out.trees for e in t]
         assert len(multiset) == len(set(multiset))
@@ -99,8 +100,8 @@ def test_sparse_complete_graph_edge_bound_erratum():
     # with honest factor packings the product construction still works
     h = path(3)
     out = pack_lex(g, h, *_packs(g, h))
-    case, want = lex_bound(1, 1, 4, 3)
-    assert case == H_RICH and want == 2
+    plan = lex_plan(1, 1, 4, 3)
+    assert plan.case == H_RICH and plan.tree_count == 2
     assert len(out.trees) == 2
     assert verify_packing(out.host, out).overall
     assert lexicographic(g, h).graph.m == 53

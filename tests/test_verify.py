@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
 from treepack.catalogue import proposition_value
-from treepack.core import Graph, SizeError, TreePacking, complete, cycle, path
-from treepack.lex import lex_bound, pack_lex
+from treepack.core import (ConstructionError, Graph, SizeError, TreePacking,
+                           complete, cycle, path)
+from treepack.lex import lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import verify_packing
+from treepack.verify import verified_packing, verify_packing
 
 from reference import (as_tree, components, proposition_graph,
                        verify_proposition_row)
@@ -118,6 +119,23 @@ def test_verify_packing_accepts_oracle_output():
     report = verify_packing(g, result.packing)
     assert report.overall
     assert len(result.packing.trees) == 2
+
+
+def test_verified_packing_is_the_construction_exit_check():
+    g = complete(4)
+    trees = list(max_packing(g).packing.trees)
+    with pytest.raises(ConstructionError) as exc:
+        verified_packing(g, trees, "constructed-test", 3)
+    assert str(exc.value) == "internal: built 2 trees, expected 3"
+    shared = [trees[0], trees[0]]
+    report = verify_packing(g, TreePacking(g, tuple(shared), "constructed-test"))
+    assert report.render().startswith("FAIL")
+    with pytest.raises(ConstructionError) as exc:
+        verified_packing(g, shared, "constructed-test", 2)
+    assert str(exc.value) == ("internal: constructed packing invalid\n"
+                              + report.render())
+    assert verified_packing(g, trees, "constructed-test", 2) == \
+        TreePacking(g, tuple(trees), "constructed-test")
 
 
 def test_verify_packing_mutations_fail():
@@ -303,7 +321,7 @@ def test_constructions_meet_bound_and_verify(g, h):
     rg, rh = max_packing(g), max_packing(h)
     for kind, pack, bound in (
             ("cartesian", pack_cartesian, cartesian_bound(rg.sigma, rh.sigma)),
-            ("lex", pack_lex, lex_bound(rg.sigma, rh.sigma, g.n, h.n)[1])):
+            ("lex", pack_lex, lex_plan(rg.sigma, rh.sigma, g.n, h.n).tree_count)):
         out = pack(g, h, rg.packing, rh.packing)
         assert len(out.trees) == bound, kind
         assert verify_packing(out.host, out).overall, kind
