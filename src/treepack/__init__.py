@@ -21,8 +21,7 @@ _EXPORTS = {
              "SizeError", "TreePacking", "complete", "complete_minus_edge",
              "complete_multipartite", "cycle", "hypercube", "path",
              "read_graph", "write_graph"),
-    "decomp": ("LeafSplit", "RootedTree", "extract_spanning_tree", "leaf_split",
-               "root_tree"),
+    "decomp": ("LeafSplit", "extract_spanning_tree", "leaf_split", "root_tree"),
     "lex": ("LexPlan", "lex_plan", "pack_lex"),
     "oracle": ("OracleResult", "TutteCertificate", "max_packing"),
     "products": ("ProductGraph", "lexicographic", "write_product"),

@@ -38,12 +38,12 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     product = cartesian(g, h)
 
     n2 = h.n
-    tk = root_tree(g.n, pack_g.trees[-1])
+    tk = root_tree(g.n, pack_g.trees[-1])   # (parent, child), breadth-first
     t_ell = pack_h.trees[-1]
     split = leaf_split(n2, t_ell)
     # the first floor((n1-1)/2) child fibers, breadth-first, keep the split's
     # subtree copy; the rest, the odd fiber out included, keep its forest
-    children = tk.order[1:]
+    children = [child for _, child in tk]
     cut = len(children) // 2
 
     # Rungs that glue each child fiber to its parent fiber.  A fiber keeping
@@ -56,7 +56,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     subtree_rungs = set(range(n2)) - set(kept[1:])
     backbone = product.fiber_copy(t_ell, 0)   # the root fiber keeps all of t_ell
     leftover: list[list[Edge]] = []   # per bundle, ascending second coordinate
-    for idx, (parent, child) in enumerate(tk.edges_bfs()):
+    for idx, (parent, child) in enumerate(tk):
         keeps_subtree = idx < cut
         used = subtree_rungs if keeps_subtree else forest_rungs
         backbone.extend(product.fiber_copy(
@@ -88,7 +88,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
         trees.append(tuple(sorted(edges)))
     for j in range(ell - 1):
         edges = [rungs[j] for rungs in leftover]
-        for u in range(product.n1):
+        for u in range(g.n):
             edges.extend(product.fiber_copy(pack_h.trees[j], u))
         trees.append(tuple(sorted(edges)))
     trees.append(tuple(sorted(backbone)))

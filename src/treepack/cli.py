@@ -62,7 +62,7 @@ def _read_text(path_: str) -> str:
 
 
 def _graph_record(g: Graph) -> dict[str, Any]:
-    return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
+    return {"n": g.n, "m": g.m, "edges": g.edges}
 
 
 def _packing_record(graph_ref: str, packing: TreePacking,
@@ -72,7 +72,7 @@ def _packing_record(graph_ref: str, packing: TreePacking,
         "graph": graph_ref,
         "method": packing.method,
         "bound": len(packing.trees),
-        "trees": [[list(e) for e in t] for t in packing.trees],
+        "trees": packing.trees,
         "verified": verified,
     }
 
@@ -189,7 +189,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     graph_ref = "-"
     if args.out:
         graph_ref = os.path.basename(args.out) + ".graph"
-        product = ProductGraph(args.kind, packed.host, g, h)
+        product = ProductGraph(args.kind, packed.host, g.n, h.n)
         _write_out(args.out + ".graph", write_product(product))
     record = _packing_record(graph_ref, packed, True)
     if args.out:
@@ -215,7 +215,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     record = {
         "sigma": result.sigma,
         "certificate": {
-            "partition": [list(b) for b in result.certificate.partition],
+            "partition": result.certificate.partition,
             "crossing_count": result.certificate.crossing_count,
             "bound": result.certificate.bound,
         },

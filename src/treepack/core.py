@@ -7,7 +7,6 @@ sorted order, so every downstream "pick the first" tie-break is deterministic.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -78,29 +77,15 @@ def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` is a sorted tuple of (min, max) pairs with no loops and no
-    duplicates.  Fields are read-only; graphs compare and hash by value.
+    duplicates.
     """
 
     n: int
     edges: tuple[Edge, ...]
-
-    def __init__(self, n: int, edges: tuple[Edge, ...]) -> None:
-        vars(self).update(n=n, edges=edges)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} fields are read-only: {name}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -122,10 +107,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def is_connected(self) -> bool:
         # fewer than n-1 edges cannot connect n vertices: decide before
@@ -214,7 +195,8 @@ def complete_minus_edge(n: int) -> Graph:
 #   optional '#' comment lines and blanks, then
 #   p <n> <m>
 #   m lines: e <a> <b> with 0 <= a < b < n
-# where every number is written in ASCII decimal digits
+# where every number is written in ASCII decimal digits and lines end at
+# '\n' only: other line breaks, '\r' included, are whitespace within a line
 
 def write_graph(g: Graph, header_comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in header_comments]
@@ -236,7 +218,7 @@ def read_graph(text: str) -> Graph:
     seen: set[Edge] = set()
     # only a text that holds a suspect character has its lines checked
     suspect = not _ascii_decimal(text)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue

@@ -1,31 +1,21 @@
 """Decomposition toolbox used by the packing constructions.
 
-Pieces: rooted spanning trees, the leaf split of a tree into a kept subtree
-and a deleted forest, and deterministic spanning-tree extraction.  The
-bundle matchings live on ``ProductGraph.matching_copy``.
+Pieces: spanning trees rooted as (parent, child) edges, the leaf split of a
+tree into a kept subtree and a deleted forest, and deterministic
+spanning-tree extraction.  The bundle matchings live on
+``ProductGraph.matching_copy``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import ContractError, Edge, ExtractionError, bfs_tree, normalize_edge
 
 
-class RootedTree(NamedTuple):
-    """A spanning tree rooted at vertex 0: parent pointers and breadth-first order."""
-
-    parent: tuple[int, ...]   # parent[0] == 0
-    order: tuple[int, ...]    # breadth-first discovery order, order[0] == 0
-
-    def edges_bfs(self) -> Iterator[tuple[int, int]]:
-        """Tree edges as (parent, child), in child discovery order."""
-        for v in self.order[1:]:
-            yield self.parent[v], v
-
-
-def root_tree(n: int, tree: tuple[Edge, ...]) -> RootedTree:
-    """Root a spanning tree of the vertices 0..n-1 at vertex 0.
+def root_tree(n: int, tree: tuple[Edge, ...]) -> tuple[Edge, ...]:
+    """A spanning tree of the vertices 0..n-1 rooted at vertex 0: its edges
+    as (parent, child), in breadth-first order of the child.
 
     Raises ContractError unless the tree has n-1 edges inside 0..n-1 and
     reaches all n vertices, which together make it a spanning tree.
@@ -33,7 +23,7 @@ def root_tree(n: int, tree: tuple[Edge, ...]) -> RootedTree:
     if len(tree) == n - 1 and all(0 <= v < n for e in tree for v in e):
         parent, order = bfs_tree(n, tree)
         if len(order) == n:
-            return RootedTree(tuple(parent), tuple(order))
+            return tuple((parent[v], v) for v in order[1:])
     raise ContractError("input is not a spanning tree of its host")
 
 

@@ -69,7 +69,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # (i, j) is matching_copy(oriented[i], j): n2 components, each meeting
     # every fiber once; this orientation makes the n2 subgraphs of one tree
     # edge-disjoint.
-    oriented = [list(root_tree(n1, t).edges_bfs()) for t in pack_g.trees]
+    oriented = [root_tree(n1, t) for t in pack_g.trees]
 
     def make_tree(edges: list[Edge]) -> tuple[Edge, ...]:
         # (min, max) copies of checked factor trees: verified_packing below

@@ -16,20 +16,12 @@ LEXICOGRAPHIC = "lex"
 
 
 class ProductGraph(NamedTuple):
-    """A product graph that remembers its kind and both factors."""
+    """A product graph that remembers its kind and both factor sizes."""
 
     kind: str
     graph: Graph
-    factor_g: Graph
-    factor_h: Graph
-
-    @property
-    def n1(self) -> int:
-        return self.factor_g.n
-
-    @property
-    def n2(self) -> int:
-        return self.factor_h.n
+    n1: int
+    n2: int
 
     def fiber_copy(self, edges: Iterable[Edge], u: int) -> list[Edge]:
         """Second-factor edges copied into the fiber above vertex u."""
@@ -72,8 +64,8 @@ def _build(kind: str, g: Graph, h: Graph, matchings: range) -> ProductGraph:
         raise InputError("first factor must be connected")
     if not h.is_connected():
         raise InputError("second factor must be connected")
-    # the copy methods read only the factors, not the graph being built
-    shell = ProductGraph(kind, Graph(0, ()), g, h)
+    # the copy methods read only the factor sizes, not the graph being built
+    shell = ProductGraph(kind, Graph(0, ()), g.n, h.n)
     edges: list[Edge] = []
     for u in range(g.n):
         edges.extend(shell.fiber_copy(h.edges, u))
@@ -81,7 +73,7 @@ def _build(kind: str, g: Graph, h: Graph, matchings: range) -> ProductGraph:
         edges.extend(shell.matching_copy(g.edges, j))
     # (min, max) pairs of validated factors, unique by construction: no
     # re-validation through Graph.from_edges
-    return ProductGraph(kind, Graph(g.n * h.n, tuple(sorted(edges))), g, h)
+    return ProductGraph(kind, Graph(g.n * h.n, tuple(sorted(edges))), g.n, h.n)
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:

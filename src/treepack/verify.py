@@ -54,11 +54,11 @@ class _Roots(dict):
         return v
 
 
-def _tree_checks(host: Graph, t: tuple[Edge, ...], tag: str) -> list[Check]:
-    n = host.n
+def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
+                 tag: str) -> list[Check]:
     checks = []
-    stray = ([] if host.edge_set.issuperset(t)
-             else [e for e in t if e not in host.edge_set])
+    stray = ([] if host_edges.issuperset(t)
+             else [e for e in t if e not in host_edges])
     checks.append(Check(f"{tag}: edges belong to host", not stray,
                         stray[0] if stray else None))
     checks.append(Check(f"{tag}: edge count is n-1", len(t) == n - 1,
@@ -107,9 +107,10 @@ def _tree_checks(host: Graph, t: tuple[Edge, ...], tag: str) -> list[Check]:
 def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     """Pass iff every tree verifies and no edge is used twice."""
     trees = packing.trees
+    host_edges = frozenset(host.edges)
     checks: list[Check] = []
     for idx, t in enumerate(trees):
-        checks.extend(_tree_checks(host, t, f"tree {idx}"))
+        checks.extend(_tree_checks(host.n, host_edges, t, f"tree {idx}"))
     clash = None
     if len(set().union(*trees)) != sum(map(len, trees)):
         seen: dict[Edge, int] = {}

@@ -191,7 +191,7 @@ def test_criterion_6_bundle_cycle_decomposition():
                 _check_cycle(cyc, vertices)
                 assert used.isdisjoint(cyc)
                 used.update(cyc)
-            assert used == bundle <= product.graph.edge_set
+            assert used == bundle <= set(product.graph.edges)
             assert len(used) == r * r
 
         for r in (3, 5, 7):
@@ -211,7 +211,7 @@ def test_criterion_6_bundle_cycle_decomposition():
             assert sorted(touched) == sorted(vertices)
             assert used.isdisjoint(matching)
             used.update(matching)
-            assert used == bundle <= product.graph.edge_set
+            assert used == bundle <= set(product.graph.edges)
 
     _report(6, "bundle matchings pair into edge-disjoint Hamiltonian cycles "
                "covering all r^2 edges (plus one matching for odd r)", body)

@@ -45,7 +45,7 @@ def test_default_assignment_counts():
     tk = root_tree(g.n, pg.trees[-1])
     split = leaf_split(h.n, ph.trees[-1])
     assert _fiber_part(backbone, 0, h.n) == set(ph.trees[-1])
-    parts = [_fiber_part(backbone, f, h.n) for f in tk.order[1:]]
+    parts = [_fiber_part(backbone, f, h.n) for _, f in tk]
     assert parts == [set(split.subtree)] * 2 + [set(split.forest)] * 3
 
 
@@ -72,7 +72,7 @@ def test_plan_partitions_every_bundle():
     h_trees = out.trees[k - 1:-1]
     assert len(h_trees) == ell - 1 == 2
     tk = root_tree(g.n, pg.trees[-1])
-    for parent, child in tk.edges_bfs():
+    for parent, child in tk:
         rungs = product.matching_copy([(parent, child)], h.n)
         leftover = [r for r in rungs if r not in out.trees[-1]]
         assert [[r for r in rungs if r in t] for t in h_trees] == [

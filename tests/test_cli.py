@@ -39,6 +39,20 @@ def test_gen_json(capsys):
     assert record["n"] == 8 and record["m"] == 12
 
 
+def test_gen_and_product_json_records_are_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "path", "3", "--format", "json")
+    assert code == 0
+    assert out == '{"edges":[[0,1],[1,2]],"m":2,"n":3}\n'
+    p3 = tmp_path / "p3.txt"
+    run(capsys, "gen", "path", "3", "--out", str(p3))
+    code, out, _ = run(capsys, "product", "cartesian", str(p3), str(p3),
+                       "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"edges":[[0,1],[0,3],[1,2],[1,4],[2,5],[3,4],[3,6],[4,5],[4,7],'
+        '[5,8],[6,7],[7,8]],"kind":"cartesian","m":12,"n":9,"n1":3,"n2":3}\n')
+
+
 def test_gen_multipartite_and_errors(capsys):
     code, out, _ = run(capsys, "gen", "multipartite", "3", "2")
     assert code == 0 and "p 6 12" in out
@@ -127,8 +141,10 @@ def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem
     ("verify", None, b'{"trees": [[[0, 1]]]}\xff', "pk.json: not UTF-8 text"),
     ("verify", None, b"[" * 200_000, "pk.json: JSON nested too deeply"),
     ("verify", None, b"[[[0, " + b"1" * 5000 + b"]]]", "pk.json: Exceeds the limit"),
+    # '\v' breaks no line: the edge sits inside the comment
+    ("verify", b"p 2 1\n# note\ve 0 1\n", None, "promises 1 edges, found 0"),
 ], ids=["graph-not-utf8", "oracle-not-utf8", "packing-not-utf8", "deep-json",
-        "long-integer"])
+        "long-integer", "edge-in-comment"])
 def test_hostile_files_are_usage_errors(capsys, tmp_path, command, graph,
                                         packing, needle):
     g, pk = tmp_path / "g.txt", tmp_path / "pk.json"

@@ -28,7 +28,7 @@ def test_graph_from_edges_sorts_and_validates():
     g = Graph.from_edges(4, [(2, 1), (0, 3), (0, 1)])
     assert g.edges == ((0, 1), (0, 3), (1, 2))
     assert g.m == 3
-    assert g.edge_set == {(0, 1), (0, 3), (1, 2)}
+    assert set(g.edges) == {(0, 1), (0, 3), (1, 2)}
 
 
 def test_graph_rejects_bad_edges():
@@ -57,14 +57,14 @@ def test_family_sizes():
     km = complete_multipartite(3, 2)
     assert (km.n, km.m) == (6, 12)
     # vertices in one part stay non-adjacent
-    assert (0, 1) not in km.edge_set and (0, 2) in km.edge_set
+    assert (0, 1) not in km.edges and (0, 2) in km.edges
     q = hypercube(3)
     assert (q.n, q.m) == (8, 12)
     # each vertex meets the 3 vertices one bit away
     assert Counter(v for e in q.edges for v in e) == dict.fromkeys(range(8), 3)
     assert all(bin(a ^ b).count("1") == 1 for a, b in q.edges)
     km_e = complete_minus_edge(4)
-    assert km_e.m == 5 and (2, 3) not in km_e.edge_set
+    assert km_e.m == 5 and (2, 3) not in km_e.edges
 
 
 def test_family_parameter_errors(capsys):
@@ -135,6 +135,8 @@ def test_carrier_types_are_read_only_values():
     packing = TreePacking(g, (((0, 1), (1, 2)),))
     assert packing.method == "user"
     assert VerificationReport("no trees").checks == ()
+    assert repr(complete(2)) == "Graph(n=2, edges=((0, 1),))"
+    assert complete(2) == (2, ((0, 1),))
     for obj, field in ((g, "n"), (g, "edges"), (packing, "host"),
                        (packing, "trees"), (Check("c", True), "passed")):
         with pytest.raises(AttributeError):
@@ -184,6 +186,10 @@ def test_read_graph_errors_carry_line_numbers():
         ("# \u00e9\np 3 1\ne 0 \uff12\n", "line 3: non-integer endpoint"),
         ("p \u0663 0\n", "line 1: non-integer in 'p' line"),
         ("p 1_0 0\n", "line 1: non-integer in 'p' line"),
+        # lines end at '\n' only: a '\v' keeps the edge inside the comment,
+        # and a lone '\r' ends no line
+        ("p 2 1\n# note\ve 0 1\n", "promises 1 edges, found 0"),
+        ("p 2 1\re 0 1\r", "line 1: expected 'p <n> <m>'"),
     ]
     for text, needle in cases:
         with pytest.raises(ParseError) as exc:
@@ -223,6 +229,13 @@ def test_read_graph_skips_comments_and_blanks():
     # a comment may hold any character; leading zeros are still decimal
     g = read_graph("# caf\u00e9 + tea_time\np 03 1\ne 00 2\n")
     assert g.n == 3 and g.edges == ((0, 2),)
+    # other line breaks are whitespace inside a line, so a comment keeps its
+    # tail; '\r\n' files read as '\n' ones
+    for text in ("# tab\fform feed in a comment\np 2 1\ne 0 1\n",
+                 "p 2 1\ne 0 1\n# a\x1cb\n",
+                 "# \x85 \u2028 \u2029\np 2 1\ne 0 1\n",
+                 "p 2 1\r\ne 0 1\r\n"):
+        assert read_graph(text) == path(2), repr(text)
 
 
 def test_check_packing_contract_errors():

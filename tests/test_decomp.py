@@ -24,13 +24,11 @@ def _forest_vertices(sp) -> frozenset:
 
 def test_root_tree_orders_breadth_first():
     g = path(4)
-    rt = root_tree(g.n, g.edges)
-    assert rt.order == (0, 1, 2, 3)
-    assert rt.parent == (0, 0, 1, 2)
-    assert list(rt.edges_bfs()) == [(0, 1), (1, 2), (2, 3)]
+    # (parent, child) edges in breadth-first order of the child
+    assert root_tree(g.n, g.edges) == ((0, 1), (1, 2), (2, 3))
     # neighbors are scanned in ascending order
     star = as_tree([(0, 3), (1, 3), (2, 3)])
-    assert root_tree(4, star).order == (0, 3, 1, 2)
+    assert root_tree(4, star) == ((0, 3), (3, 1), (3, 2))
 
 
 def test_root_tree_rejects_non_trees():
@@ -210,7 +208,7 @@ def test_parallel_subgraph_lex_components():
     oriented from root 0, as pack_lex takes it."""
     g, h = path(3), complete(4)
     p = lexicographic(g, h)
-    oriented = list(root_tree(g.n, g.edges).edges_bfs())
+    oriented = root_tree(g.n, g.edges)
     for j in range(1, 5):
         ps = p.matching_copy(oriented, j)
         assert len(ps) == (g.n - 1) * h.n
@@ -222,7 +220,7 @@ def test_parallel_subgraph_lex_components():
             assert sorted(v // h.n for v in comp) == list(range(g.n))
     union = {e for j in range(1, 5) for e in p.matching_copy(oriented, j)}
     fiber_edges = {e for u in range(g.n) for e in p.fiber_copy(h.edges, u)}
-    assert union == p.graph.edge_set - fiber_edges
+    assert union == set(p.graph.edges) - fiber_edges
 
 
 def test_extract_spanning_tree():

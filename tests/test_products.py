@@ -62,11 +62,13 @@ def test_lexicographic_not_commutative():
 
 
 def test_fiber_and_cross_section():
-    p = cartesian(path(3), cycle(4))
-    assert p.fiber_copy(p.factor_h.edges, 1) == [(4, 5), (4, 7), (5, 6), (6, 7)]
-    assert set(p.fiber_copy(p.factor_h.edges, 1)) <= p.graph.edge_set
-    assert p.cross_section_copy(p.factor_g.edges, 2) == [(2, 6), (6, 10)]
-    assert set(p.cross_section_copy(p.factor_g.edges, 0)) == {(0, 4), (4, 8)}
+    g, h = path(3), cycle(4)
+    p = cartesian(g, h)
+    assert (p.n1, p.n2) == (3, 4)
+    assert p.fiber_copy(h.edges, 1) == [(4, 5), (4, 7), (5, 6), (6, 7)]
+    assert set(p.fiber_copy(h.edges, 1)) <= set(p.graph.edges)
+    assert p.cross_section_copy(g.edges, 2) == [(2, 6), (6, 10)]
+    assert set(p.cross_section_copy(g.edges, 0)) == {(0, 4), (4, 8)}
 
 
 def _cross_edges(p: ProductGraph) -> set:
@@ -79,7 +81,7 @@ def test_rung_edges_cartesian_only():
     p = cartesian(path(2), path(3))
     for e in ((0, 1), (1, 0)):
         assert p.matching_copy([e], 3) == [(0, 3), (1, 4), (2, 5)]
-        assert not set(p.matching_copy([e], 1)) & p.graph.edge_set
+        assert not set(p.matching_copy([e], 1)) & set(p.graph.edges)
     assert _cross_edges(p) == {(0, 3), (1, 4), (2, 5)}
 
 

@@ -192,10 +192,10 @@ def _drop(host, trees):
 
 
 def _swap_for_non_host(host, trees):
-    n = host.n
+    n, edges = host.n, set(host.edges)
     # K6 has no missing pair, so a self-loop stands in as its non-host edge
     trees[0][0] = next(((a, b) for a in range(n) for b in range(a + 1, n)
-                        if (a, b) not in host.edge_set), (0, 0))
+                        if (a, b) not in edges), (0, 0))
     return "tree 0: edges belong to host"
 
 
