@@ -2,14 +2,20 @@
 
 The packer grows k edge-disjoint forests one level at a time.  Each forest is
 rooted (parent and depth arrays), so the path joining two vertices is walked
-up from both ends in O(path length).  Inside a level every unused edge gets
-at most one augmentation attempt: a breadth-first search over exchange moves
-(replace a forest edge by another edge whose endpoints that forest connects)
-that either finds a forest with room or proves none exists.  A failed search
-merges the endpoints of every edge it labelled into one clump (Roskind and
-Tarjan, 1985); a clump is connected inside every forest and no later
-augmentation touches its edges, so an edge with both endpoints in one clump
-is rejected without a search.  The clumps of the level that fails are the
+up from both ends in O(path length).  Each root keeps its tree's vertex count
+and an insert re-roots the smaller of the two trees it joins, so a vertex is
+re-rooted O(log n) times while a forest grows; a path is unique, so the
+rooting never changes it.  Inside a level every unused edge gets at most one
+augmentation attempt: a breadth-first search over exchange moves (replace a
+forest edge by another edge whose endpoints that forest connects) that either
+finds a forest with room or proves none exists.  A failed search merges the
+endpoints of every edge it labelled into one clump (Roskind and Tarjan, 1985);
+a clump is connected inside every forest and no later augmentation touches
+its edges, so an edge with both endpoints in one clump is rejected without a
+search.  A search labels such an edge but does not expand it: its path in
+every forest stays inside the clump, so it can neither end the search nor
+label an edge outside the clump, and the search keeps its terminal, exchange
+chain and clumps.  The clumps of the level that fails are the
 Tutte/Nash-Williams partition certifying the bound.
 """
 
@@ -56,6 +62,7 @@ class _ForestFamily:
         self.adj: list[list[set[int]]] = []
         self.parent: list[list[int]] = []   # -1 marks a root
         self.depth: list[list[int]] = []
+        self.span: list[list[int]] = []     # vertex count of a root's tree
         self.sizes: list[int] = []
         self.owner: dict[Edge, int] = {}
 
@@ -63,6 +70,7 @@ class _ForestFamily:
         self.adj.append([set() for _ in range(self.n)])
         self.parent.append([-1] * self.n)
         self.depth.append([0] * self.n)
+        self.span.append([1] * self.n)
         self.sizes.append(0)
 
     def path_in(self, i: int, a: int, b: int) -> list[Edge] | None:
@@ -88,45 +96,61 @@ class _ForestFamily:
         down.reverse()
         return up + down
 
-    def _hang(self, i: int, v: int, p: int) -> None:
-        """Re-root v's tree in forest i at v, below p (or as a root if p < 0)."""
+    def _root(self, i: int, v: int) -> int:
+        parent = self.parent[i]
+        while parent[v] >= 0:
+            v = parent[v]
+        return v
+
+    def _hang(self, i: int, v: int, p: int) -> int:
+        """Re-root v's tree in forest i at v, below p (if p >= 0); return its size."""
         adj, parent, depth = self.adj[i], self.parent[i], self.depth[i]
         parent[v] = p
         depth[v] = depth[p] + 1 if p >= 0 else 0
         stack = [v]
+        count = 0
         while stack:
             x = stack.pop()
+            count += 1
             for y in adj[x]:
                 if y != parent[x]:
                     parent[y] = x
                     depth[y] = depth[x] + 1
                     stack.append(y)
+        return count
 
     def insert(self, e: Edge, i: int) -> None:
         a, b = e
-        if self.path_in(i, a, b) is not None:
+        ra, rb = self._root(i, a), self._root(i, b)
+        if ra == rb:
             raise ConstructionError(f"internal: inserting {e} closes a cycle")
         self.adj[i][a].add(b)
         self.adj[i][b].add(a)
-        self._hang(i, a, b)
+        if self.span[i][ra] > self.span[i][rb]:
+            a, b, ra, rb = b, a, rb, ra
+        self.span[i][rb] += self._hang(i, a, b)
         self.owner[e] = i
         self.sizes[i] += 1
 
     def remove(self, e: Edge, i: int) -> None:
         if self.owner.get(e) != i:
             raise ConstructionError(f"internal: {e} is not in forest {i}")
-        a, b = e
+        a, b = e if self.parent[i][e[1]] == e[0] else e[::-1]   # b is the child
         self.adj[i][a].discard(b)
         self.adj[i][b].discard(a)
-        self._hang(i, b if self.parent[i][b] == a else a, -1)
+        span = self.span[i]
+        span[b] = self._hang(i, b, -1)
+        span[self._root(i, a)] -= span[b]
         del self.owner[e]
         self.sizes[i] -= 1
 
-    def search(self, e0: Edge) -> tuple[Edge | None, int, dict[Edge, Label | None]]:
+    def search(self, e0: Edge, clump: list[int]
+               ) -> tuple[Edge | None, int, dict[Edge, Label | None]]:
         """Breadth-first exchange search from an unused edge.
 
         Returns (terminal edge, receiving forest, labels); terminal None means
-        no forest can absorb the edge even after exchanges.
+        no forest can absorb the edge even after exchanges.  `clump` is the
+        level's union-find; an edge inside one clump is labelled, not expanded.
         """
         label: dict[Edge, Label | None] = {e0: None}
         queue = deque([e0])
@@ -142,7 +166,8 @@ class _ForestFamily:
                 for g in path:
                     if g not in label:
                         label[g] = (f, i)
-                        queue.append(g)
+                        if _find(clump, g[0]) != _find(clump, g[1]):
+                            queue.append(g)
         return None, -1, label
 
     def augment(self, f: Edge, i: int, label: dict[Edge, Label | None]) -> None:
@@ -183,7 +208,7 @@ def max_packing(g: Graph) -> OracleResult:
         for e in g.edges:
             if e in family.owner or _find(clump, e[0]) == _find(clump, e[1]):
                 continue
-            f, i, label = family.search(e)
+            f, i, label = family.search(e, clump)
             if f is not None:
                 family.augment(f, i, label)
                 continue

@@ -1,14 +1,17 @@
+import hashlib
+import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (Graph, InputError, SizeError, complete,
-                           complete_minus_edge, complete_multipartite, cycle,
-                           hypercube, path, read_graph)
-from treepack.oracle import max_packing
+from treepack.core import (ConstructionError, Graph, InputError, SizeError,
+                           complete, complete_minus_edge, complete_multipartite,
+                           cycle, hypercube, path, read_graph)
+from treepack.oracle import _find, _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing
 
@@ -182,3 +185,129 @@ def test_oracle_certificate_and_packing_property(g):
     crossing = sum(1 for a, b in g.edges if block_of[a] != block_of[b])
     assert crossing // (len(cert.partition) - 1) == result.sigma
     assert verify_packing(g, result.packing).overall
+
+
+ORACLE_CORPUS = Path(__file__).parent / "golden" / "oracle_corpus.json"
+
+
+def oracle_corpus() -> dict[str, Graph]:
+    """Q1-Q8, K2-K20, the structured shapes of the oracle-sparse benchmark
+    workload (built as `treepack product` labels them) and 100 seeded random
+    connected graphs with n <= 40."""
+    graphs = {f"Q{d}": hypercube(d) for d in range(1, 9)}
+    graphs.update({f"K{n}": complete(n) for n in range(2, 21)})
+    for name, g, h in [
+            ("K4xC6", complete(4), cycle(6)), ("K3xC20", complete(3), cycle(20)),
+            ("K4xC12", complete(4), cycle(12)), ("K6xC20", complete(6), cycle(20)),
+            ("K3(2)xC6", complete_multipartite(3, 2), cycle(6)),
+            ("K3(2)xC10", complete_multipartite(3, 2), cycle(10)),
+            ("K4(2)xC8", complete_multipartite(4, 2), cycle(8)),
+            ("P30xP10", path(30), path(10)), ("P20xP20", path(20), path(20))]:
+        graphs[name] = cartesian(g, h).graph       # Q4, Q6 and Q7 are above
+    rng = random.Random(2013)
+    for i in range(100):
+        graphs[f"R{i}"] = random_connected(rng, rng.randint(2, 40))
+    return graphs
+
+
+def oracle_digest(g: Graph) -> str:
+    """SHA-256 of the canonical JSON of sigma, the trees and the certificate."""
+    result = max_packing(g)
+    record = {"sigma": result.sigma, "trees": result.packing.trees,
+              "certificate": result.certificate._asdict()}
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_oracle_corpus_outputs_pinned():
+    # The pinned digests were written by the oracle before clump pruning and
+    # smaller-side re-rooting; any change to a tree or certificate shows here.
+    # Regenerate only for an intended output change:
+    #   json.dumps({k: oracle_digest(g) for k, g in oracle_corpus().items()},
+    #              indent=1)
+    want = json.loads(ORACLE_CORPUS.read_text())
+    got = {name: oracle_digest(g) for name, g in oracle_corpus().items()}
+    assert got == want
+
+
+def test_clump_pruning_changes_no_search_result(monkeypatch):
+    # Each search runs a second time with the identity clump, which expands
+    # every labelled edge; both must end at the same edge and forest and give
+    # every edge between two clumps the same label.
+    search = _ForestFamily.search
+    pruned = []
+
+    def both(self, e0, clump):
+        f, i, label = search(self, e0, clump)
+        f_all, i_all, label_all = search(self, e0, list(range(self.n)))
+        assert (f, i) == (f_all, i_all)
+
+        def between(lab):
+            return {e: x for e, x in lab.items()
+                    if _find(clump, e[0]) != _find(clump, e[1])}
+        assert between(label) == between(label_all)
+        pruned.append(len(label_all) - len(label))
+        return f, i, label
+
+    monkeypatch.setattr(_ForestFamily, "search", both)
+    rng = random.Random(77)
+    for _ in range(30):
+        g = random_connected(rng, rng.randint(4, 24))
+        max_packing(g)
+    assert max(pruned) > 0          # some search left an edge unexpanded
+
+
+def components(n: int, edges) -> list[int]:
+    """A component label per vertex, by union-find over `edges`."""
+    label = list(range(n))
+    for a, b in edges:
+        label[_find(label, a)] = _find(label, b)
+    return [_find(label, v) for v in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_forest_bookkeeping_invariants(data):
+    # A wrong vertex count at a root only makes inserts re-root the larger
+    # tree, which changes no output, so only this test would see it.
+    n = data.draw(st.integers(2, 9))
+    k = 2
+    moves = data.draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                         st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=40))
+    family = _ForestFamily(n)
+    forests: list[set] = []
+    for _ in range(k):
+        family.add_forest()
+        forests.append(set())
+    for i, a, b in moves:
+        if a == b:
+            continue
+        e = (min(a, b), max(a, b))
+        comp = components(n, forests[i])
+        if e in forests[i]:
+            family.remove(e, i)
+            forests[i].discard(e)
+        elif e in family.owner:
+            continue
+        elif comp[a] == comp[b]:
+            with pytest.raises(ConstructionError):
+                family.insert(e, i)
+        else:
+            family.insert(e, i)
+            forests[i].add(e)
+        for j in range(k):
+            comp = components(n, forests[j])
+            parent, depth, span = family.parent[j], family.depth[j], family.span[j]
+            roots = [v for v in range(n) if parent[v] < 0]
+            assert sorted(comp[r] for r in roots) == sorted(set(comp))
+            for r in roots:
+                assert depth[r] == 0
+                assert span[r] == comp.count(comp[r])
+            for v in range(n):
+                if parent[v] >= 0:
+                    assert (min(v, parent[v]), max(v, parent[v])) in forests[j]
+                    assert depth[v] == depth[parent[v]] + 1
+            for x in range(n):
+                for y in range(x + 1, n):
+                    assert (family.path_in(j, x, y) is None) == (comp[x] != comp[y])
