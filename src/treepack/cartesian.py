@@ -9,7 +9,7 @@ completed with the copies and cross edges the backbone leaves unused.
 
 from __future__ import annotations
 
-from .core import ConstructionError, Edge, Graph, InputError, TreePacking
+from .core import Edge, Graph, InputError, TreePacking
 from .decomp import leaf_split, root_tree
 from .products import cartesian
 from .verify import check_packing, verified_packing
@@ -65,17 +65,10 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
         backbone.extend(rungs[v] for v in used)
         leftover.append([rungs[v] for v in range(n2) if v not in used])
 
-    # fibers whose subtree (resp. forest) copy the backbone left unused
+    # fibers whose subtree (resp. forest) copy the backbone left unused: at
+    # least cut >= k-1 of each, and every bundle leaves at least
+    # ceil(n2/2)-1 >= ell-1 rungs (k <= n1//2 and ell <= n2//2 on n >= 2)
     free_subtree, free_forest = children[cut:], children[:cut]
-    if k - 1 > min(len(free_subtree), len(free_forest)):
-        raise ConstructionError(
-            f"not enough spare fibers: need {k - 1}, have "
-            f"{len(free_subtree)} subtree and {len(free_forest)} forest copies")
-    min_leftover = min(map(len, leftover), default=0)
-    if leftover and ell - 1 > min_leftover:
-        raise ConstructionError(
-            f"not enough leftover rungs: need {ell - 1} per bundle, "
-            f"have {min_leftover}")
 
     # (min, max) copies of checked factor trees: verified_packing below is
     # their only check

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ConstructionError, Edge, Graph, InputError, TreePacking
+from .core import Edge, Graph, InputError, TreePacking
 from .decomp import extract_spanning_tree, root_tree
 from .products import lexicographic
 from .verify import check_packing, verified_packing
@@ -71,64 +71,43 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # edge-disjoint.
     oriented = [root_tree(n1, t) for t in pack_g.trees]
 
-    def make_tree(edges: list[Edge]) -> tuple[Edge, ...]:
-        # (min, max) copies of checked factor trees: verified_packing below
-        # is their only check
-        return tuple(sorted(edges))
-
     def section_tree(t: int, v: int) -> tuple[Edge, ...]:
         """Every fiber copy of H-tree t, joined by the cross-section copy at v
         of the held-back last G-tree."""
         edges = product.cross_section_copy(pack_g.trees[k - 1], v)
         for u in range(n1):
             edges.extend(product.fiber_copy(pack_h.trees[t], u))
-        return make_tree(edges)
+        return tuple(sorted(edges))
 
     reserved = (k - 1, n2)   # the identity matching of the last G-tree
+    # (min, max) copies of checked factor trees: verified_packing below is
+    # their only check
     trees: list[tuple[Edge, ...]] = []
 
     if plan.case == BALANCED:
         subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)]
         fibers = [(t, s) for t in range(ell) for s in range(n1)]
-        if len(subs) != len(fibers):
-            raise ConstructionError(
-                f"internal: {len(subs)} subgraphs vs {len(fibers)} fiber trees")
         for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(make_tree(product.matching_copy(oriented[i], j)
-                                   + product.fiber_copy(pack_h.trees[t], s)))
+            trees.append(tuple(sorted(product.matching_copy(oriented[i], j)
+                                      + product.fiber_copy(pack_h.trees[t], s))))
 
     elif plan.case == H_RICH:
-        if plan.x > ell:
-            raise ConstructionError(
-                f"fiber-tree budget exceeded: need {plan.x} second-factor "
-                f"trees, have {ell}")
         subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)
                 if (i, j) != reserved]
         fibers = [(t, s) for t in range(plan.x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(make_tree(product.matching_copy(oriented[i], j)
-                                   + product.fiber_copy(pack_h.trees[t], s)))
-        if ell - plan.x > n2:
-            raise ConstructionError(
-                f"cross-section budget exceeded: need {ell - plan.x} "
-                f"sections, have {n2}")
+            trees.append(tuple(sorted(product.matching_copy(oriented[i], j)
+                                      + product.fiber_copy(pack_h.trees[t], s))))
         for t in range(plan.x, ell):
             trees.append(section_tree(t, t - plan.x))
 
     else:  # G_RICH
-        if ell > n2:
-            raise ConstructionError(
-                f"cross-section budget exceeded: need {ell} sections, have {n2}")
         for t in range(ell):
             trees.append(section_tree(t, t))
         # cycle pair (i, r) burns matchings 2r-1, 2r of tree i; the pair that
         # would touch the reserved identity matching is off limits
         candidates = [(i, r) for i in range(k) for r in range(1, n2 // 2 + 1)
                       if not (i == k - 1 and 2 * r == n2)]
-        if len(candidates) < plan.x:
-            raise ConstructionError(
-                f"cycle budget exceeded: need {plan.x} matching pairs, "
-                f"have {len(candidates)}")
         taken = candidates[:plan.x]
         cycles: list[list[Edge]] = []
         for i, r in taken:
@@ -139,10 +118,6 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
         consumed.update((i, 2 * r) for i, r in taken)
         singles = [(i, j) for i in range(k) for j in range(1, n2 + 1)
                    if (i, j) != reserved and (i, j) not in consumed]
-        if len(singles) > len(cycles):
-            raise ConstructionError(
-                f"cycle budget exceeded: {len(singles)} subgraphs for "
-                f"{len(cycles)} cycles")
         for (i, j), cyc in zip(singles, cycles):
             trees.append(extract_spanning_tree(
                 product.graph.n, product.matching_copy(oriented[i], j) + cyc))

@@ -147,13 +147,18 @@ def verified_packing(host: Graph, trees: list[tuple[Edge, ...]], method: str,
 def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     """Raise ContractError unless the packing is valid for the given host.
 
-    Beyond the host match and the tree count, this is ``verify_packing``:
-    the message names the role and the first failing check with its witness.
+    Beyond the host match and the tree count (at least one; one on a
+    one-vertex host), this is ``verify_packing``: the message names the role
+    and the first failing check with its witness.  A packing that passes on
+    n >= 2 vertices has k <= n // 2 trees, since k(n-1) <= n(n-1)/2.
     """
     if packing.host != host:
         raise ContractError(f"{role}: packing host does not match the graph")
     if len(packing.trees) < 1:
         raise ContractError(f"{role}: packing must contain at least one tree")
+    if host.n == 1 and len(packing.trees) > 1:
+        raise ContractError(f"{role}: a one-vertex host has one spanning tree "
+                            f"(the empty one), not {len(packing.trees)}")
     for check in verify_packing(host, packing).checks:
         if not check.passed:
             raise ContractError(f"{role}: {check.name} fails: {check.witness}")

@@ -194,6 +194,37 @@ def test_verify_fuzz_on_raw_bytes_ends_in_report_or_usage_error(graph, packing):
         assert (code, out.getvalue()[:4]) in {(0, "PASS"), (1, "FAIL")}
 
 
+_K1 = b"p 1 0\n"
+_TWO_EMPTY = b'{"trees": [[],[]]}'
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["cartesian", "lex"]), _edited(_K4), _edited(_K4),
+       _edited(_K4_PACKING), _edited(_K4_PACKING))
+@example("cartesian", _K1, _K4, _TWO_EMPTY, _K4_PACKING)
+@example("cartesian", _K4, _K1, _K4_PACKING, _TWO_EMPTY)
+@example("lex", _K4, _K1, _K4_PACKING, _TWO_EMPTY)
+@example("cartesian", _K4, _K4, _K4_PACKING, _K4_PACKING)
+@example("lex", _K4, _K4, _K4_PACKING, _K4_PACKING)
+def test_pack_fuzz_on_raw_bytes_ends_in_record_or_usage_error(kind, g, h, pg, ph):
+    """Whatever the two graph files and two factor packing files hold, pack
+    exits 0 with a verified record or 2 with an error line: never a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [Path(tmp, name) for name in ("g.txt", "h.txt", "pg.json", "ph.json")]
+        for file, data in zip(files, (g, h, pg, ph)):
+            file.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["pack", kind, str(files[0]), str(files[1]),
+                         "--factor-packing", str(files[2]),
+                         "--factor-packing", str(files[3]), "--format", "json"])
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    else:
+        assert code == 0 and json.loads(out.getvalue())["verified"] is True
+
+
 def test_pack_one_vertex_factor(capsys, tmp_path):
     k1 = tmp_path / "k1.txt"
     k4 = tmp_path / "k4.txt"
@@ -207,6 +238,22 @@ def test_pack_one_vertex_factor(capsys, tmp_path):
         assert len(record["trees"]) == 2 and record["verified"] is True
     code, _, err = run(capsys, "pack", "lex", str(k1), str(k4))
     assert code == 2 and "error:" in err
+    # K1 has one spanning tree: two empty trees are a usage error in either
+    # factor position, not a traceback
+    two = tmp_path / "two.json"
+    two.write_text('{"trees": [[],[]]}')
+    k4_packing = str(GOLDEN / "k4.factor.json")
+    for kind in ("cartesian", "lex"):
+        for pair, packings, role in (((k1, k4), (two, k4_packing), "first"),
+                                     ((k4, k1), (k4_packing, two), "second")):
+            code, out, err = run(
+                capsys, "pack", kind, *map(str, pair),
+                "--factor-packing", str(packings[0]),
+                "--factor-packing", str(packings[1]))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {role} factor packing: a one-vertex host")
+    code, out, _ = run(capsys, "verify", str(k1), str(two))
+    assert code == 0 and out.startswith("PASS packing of 2 trees")
 
 
 def test_pack_cartesian_text_summary(capsys, tmp_path):

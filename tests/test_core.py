@@ -251,3 +251,8 @@ def test_check_packing_contract_errors():
         check_packing(TreePacking(g, ()), g, "empty")
     with pytest.raises(ContractError, match="host"):
         check_packing(TreePacking(g, (t1,)), complete(5), "host")
+    # K1 has exactly one spanning tree, the empty one
+    k1 = path(1)
+    check_packing(TreePacking(k1, ((),)), k1, "ok")  # no raise
+    with pytest.raises(ContractError, match="one-vertex host has one spanning tree"):
+        check_packing(TreePacking(k1, ((), ())), k1, "two empty")
