@@ -11,6 +11,7 @@ loads no module it does not use and ``--help`` loads none.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -44,7 +45,9 @@ def _emit_run_record(args: argparse.Namespace, inputs: list[str],
 
 
 def _dump(record: Any) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # a record is tuples, lists and dicts built here, never containing itself
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def _write_out(path_: str, text: str) -> None:
@@ -386,5 +389,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """Process entry of ``python -m treepack.cli`` and the ``treepack`` script.
+
+    A command leaves no cyclic garbage worth collecting (its graphs, trees and
+    records are acyclic), so the cyclic collector is switched off and the
+    start-up heap frozen out of its final passes.  ``main`` leaves GC state
+    alone, for callers that run it inside their own process.
+    """
+    gc.disable()
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -105,7 +105,8 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
 
 
 def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
-    """Pass iff every tree verifies and no edge is used twice."""
+    """Pass iff every tree verifies, no edge is used twice and a one-vertex
+    host has at most one tree."""
     trees = packing.trees
     host_edges = frozenset(host.edges)
     checks: list[Check] = []
@@ -125,6 +126,10 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     checks.append(Check(
         "trees pairwise edge-disjoint", clash is None,
         f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None))
+    if host.n == 1:
+        one = len(trees) <= 1
+        checks.append(Check("a one-vertex host has one spanning tree (the empty one)",
+                            one, None if one else f"{len(trees)} trees"))
     subject = f"packing of {len(trees)} trees ({packing.method})"
     return VerificationReport(subject, tuple(checks))
 
@@ -147,18 +152,15 @@ def verified_packing(host: Graph, trees: list[tuple[Edge, ...]], method: str,
 def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     """Raise ContractError unless the packing is valid for the given host.
 
-    Beyond the host match and the tree count (at least one; one on a
-    one-vertex host), this is ``verify_packing``: the message names the role
-    and the first failing check with its witness.  A packing that passes on
-    n >= 2 vertices has k <= n // 2 trees, since k(n-1) <= n(n-1)/2.
+    Beyond the host match and at least one tree, this is ``verify_packing``:
+    the message names the role and the first failing check with its witness.
+    A packing that passes has k <= n // 2 trees on n >= 2 vertices, since
+    k(n-1) <= n(n-1)/2, and one tree on one vertex.
     """
     if packing.host != host:
         raise ContractError(f"{role}: packing host does not match the graph")
     if len(packing.trees) < 1:
         raise ContractError(f"{role}: packing must contain at least one tree")
-    if host.n == 1 and len(packing.trees) > 1:
-        raise ContractError(f"{role}: a one-vertex host has one spanning tree "
-                            f"(the empty one), not {len(packing.trees)}")
     for check in verify_packing(host, packing).checks:
         if not check.passed:
             raise ContractError(f"{role}: {check.name} fails: {check.witness}")

@@ -252,8 +252,11 @@ def test_pack_one_vertex_factor(capsys, tmp_path):
                 "--factor-packing", str(packings[1]))
             assert code == 2 and out == ""
             assert err.startswith(f"error: {role} factor packing: a one-vertex host")
+    # verify applies the same rule: the pair is a FAIL, with the tree count
     code, out, _ = run(capsys, "verify", str(k1), str(two))
-    assert code == 0 and out.startswith("PASS packing of 2 trees")
+    assert code == 1 and out.startswith("FAIL packing of 2 trees")
+    assert out.splitlines()[-1] == ("  FAIL a one-vertex host has one spanning "
+                                    "tree (the empty one)  [2 trees]")
 
 
 def test_pack_cartesian_text_summary(capsys, tmp_path):

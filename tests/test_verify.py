@@ -229,6 +229,21 @@ def test_verify_packing_single_mutation_fails_with_witness(name, mutate):
     assert all(c.witness is not None for c in failed.values())
 
 
+ONE_VERTEX = "a one-vertex host has one spanning tree (the empty one)"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_one_vertex_host_admits_at_most_one_tree(count):
+    # every empty tree spans K1, so only the tree count can fail
+    k1 = path(1)
+    report = verify_packing(k1, TreePacking(k1, ((),) * count))
+    names = {c.name: c for c in report.checks}
+    assert report.overall is (count <= 1)
+    assert names[ONE_VERTEX].witness == (None if count <= 1 else f"{count} trees")
+    assert [c.name for c in report.checks if not c.passed] == (
+        [] if count <= 1 else [ONE_VERTEX])
+
+
 @pytest.mark.parametrize("name", ["k4xc4", "p3lexk4", "k6"])
 def test_verify_packing_record_matches_pinned(name):
     packing = _valid_packing(name)
