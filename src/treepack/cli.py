@@ -4,26 +4,25 @@ Stdout carries the requested artifact (edge list, packing record, report,
 table) and is byte-identical across runs of the same command; a one-line run
 record with wall time goes to stderr.
 
-Each ``cmd_*`` imports the modules it runs inside the function, so a command
-loads no module it does not use and ``--help`` loads none.
+Each ``cmd_*`` imports the modules it runs, so a command loads no module it
+does not use; argparse loads only for ``--help`` and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
+    import argparse
+
     from .catalogue import TableRow
     from .core import Graph, TreePacking
-
-# products.CARTESIAN and LEXICOGRAPHIC, spelled out so the parser imports nothing
-PRODUCT_KINDS = ("cartesian", "lex")
 
 # CLI family name -> (constructor in treepack.core, parameter count)
 FAMILIES = {
@@ -36,7 +35,7 @@ FAMILIES = {
 }
 
 
-def _emit_run_record(args: argparse.Namespace, inputs: list[str],
+def _emit_run_record(args: SimpleNamespace, inputs: list[str],
                      outputs: dict[str, Any], verified: bool | None) -> None:
     record = {"command": args.command, "inputs": inputs, "outputs": outputs,
               "verified": verified,
@@ -110,7 +109,7 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
     return TreePacking(host, tuple(trees), str(record.get("method", "user")))
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: SimpleNamespace) -> int:
     from . import core
     name, count = FAMILIES[args.family]
     if len(args.params) != count:
@@ -127,7 +126,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_product(args: argparse.Namespace) -> int:
+def cmd_product(args: SimpleNamespace) -> int:
     from .core import read_graph
     from .products import CARTESIAN, cartesian, lexicographic, write_product
     g = read_graph(_read_text(args.fileG))
@@ -148,7 +147,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factor_packings(args: argparse.Namespace, g: Graph,
+def _factor_packings(args: SimpleNamespace, g: Graph,
                      h: Graph) -> tuple[TreePacking, TreePacking]:
     from .core import InputError
     overrides = args.factor_packing or []
@@ -181,7 +180,7 @@ def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
     return pack_lex(g, h, pg, ph)
 
 
-def cmd_pack(args: argparse.Namespace) -> int:
+def cmd_pack(args: SimpleNamespace) -> int:
     from .core import read_graph
     from .products import ProductGraph, write_product
     g = read_graph(_read_text(args.fileG))
@@ -208,7 +207,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     from .core import read_graph
     from .oracle import max_packing
     from .verify import verify_packing
@@ -242,7 +241,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if verified else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .core import read_graph
     from .verify import verify_packing
     g = read_graph(_read_text(args.graphfile))
@@ -296,7 +295,7 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
     }
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     from .catalogue import table_rows
     rows = [_run_table_row(r) for r in table_rows()]
     if args.format == "text":
@@ -322,62 +321,95 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal(text: str) -> int:
+    """A ``gen`` parameter: ASCII digits after an optional ``-``, as in graph files."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(text)
+
+
+_decimal.__name__ = "int"   # the type argparse names in "invalid int value"
+OUT = ("--out", {"help": "write the primary artifact to this path"})
+FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+# kinds: products.CARTESIAN and LEXICOGRAPHIC, spelled out so parsing imports nothing
+FILES = ("kind", {"choices": ("cartesian", "lex")}), ("fileG", {}), ("fileH", {})
+# command -> (handler, help, (name, argparse keyword arguments) per argument)
+COMMANDS = {
+    "gen": (cmd_gen, "generate a named graph family",
+            (("family", {"choices": sorted(FAMILIES)}),
+             ("params", {"nargs": "+", "type": _decimal}), OUT, FORMAT)),
+    "product": (cmd_product, "compose two graphs", (*FILES, OUT, FORMAT)),
+    "pack": (cmd_pack, "build a spanning tree packing of a product",
+             (*FILES, ("--factor-packing", {
+                 "action": "append", "metavar": "PATH",
+                 "help": "packing file for a factor; give once for the first "
+                         "factor, twice for both"}), OUT, FORMAT)),
+    "oracle": (cmd_oracle, "exact packing number with certificate",
+               (("file", {}), OUT, FORMAT)),
+    "verify": (cmd_verify, "check a packing file against a graph",
+               (("graphfile", {}), ("packingfile", {}), FORMAT)),
+    "table": (cmd_table, "closed form vs construction vs oracle", (("--strict", {
+        "action": "store_true", "default": False,
+        "help": "exit nonzero on any unexpected mismatch"}), FORMAT)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="treepack",
         description="Edge-disjoint spanning tree packings of product graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, out: bool = True) -> None:
-        if out:
-            p.add_argument("--out", help="write the primary artifact to this path")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_gen = sub.add_parser("gen", help="generate a named graph family")
-    p_gen.add_argument("family", choices=sorted(FAMILIES))
-    p_gen.add_argument("params", nargs="+", type=int)
-    common(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_prod = sub.add_parser("product", help="compose two graphs")
-    p_prod.add_argument("kind", choices=PRODUCT_KINDS)
-    p_prod.add_argument("fileG")
-    p_prod.add_argument("fileH")
-    common(p_prod)
-    p_prod.set_defaults(func=cmd_product)
-
-    p_pack = sub.add_parser("pack", help="build a spanning tree packing of a product")
-    p_pack.add_argument("kind", choices=PRODUCT_KINDS)
-    p_pack.add_argument("fileG")
-    p_pack.add_argument("fileH")
-    p_pack.add_argument("--factor-packing", action="append", metavar="PATH",
-                        help="packing file for a factor; give once for the "
-                             "first factor, twice for both")
-    common(p_pack)
-    p_pack.set_defaults(func=cmd_pack)
-
-    p_oracle = sub.add_parser("oracle", help="exact packing number with certificate")
-    p_oracle.add_argument("file")
-    common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_verify = sub.add_parser("verify", help="check a packing file against a graph")
-    p_verify.add_argument("graphfile")
-    p_verify.add_argument("packingfile")
-    common(p_verify, out=False)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_table = sub.add_parser("table", help="closed form vs construction vs oracle")
-    p_table.add_argument("--strict", action="store_true",
-                         help="exit nonzero on any unexpected mismatch")
-    common(p_table, out=False)
-    p_table.set_defaults(func=cmd_table)
+    for command, (func, help_, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a plain command line, else None: plain is
+    the command, exactly its positionals, then whole ``--option value`` pairs and
+    flags.  argparse parses all else, so its messages stay its own."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    values: dict[str, Any] = {"command": argv[0], "func": func}
+    words, options, i = [*argv, "-"], {}, 1   # the "-" is refused where words run out
+    try:
+        for name, kw in arguments:
+            if name[0] == "-":
+                dest = name[2:].replace("-", "_")
+                options[name], values[dest] = (dest, kw), kw.get("default")
+                continue
+            end = i + 1
+            while "nargs" in kw and end < len(argv) and argv[end][:1] != "-":
+                end += 1
+            given = [_value(w, kw) for w in words[i:end]]
+            values[name], i = given if "nargs" in kw else given[0], end
+        while words[i] in options:
+            dest, kw = options[words[i]]
+            action = kw.get("action")
+            value = True if action == "store_true" else _value(words[i + 1], kw)
+            values[dest] = (values[dest] or []) + [value] if action == "append" else value
+            i += 1 if action == "store_true" else 2
+    except ValueError:
+        return None
+    return SimpleNamespace(**values) if i == len(argv) else None
+
+
+def _value(word: str, kw: dict[str, Any]) -> Any:
+    """``word`` as argparse stores it for this argument; ValueError if it would object."""
+    value = kw.get("type", str)(word)
+    if word[:1] == "-" or value not in kw.get("choices", (value,)):
+        raise ValueError(word)
+    return value
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = (_parse_plain(sys.argv[1:] if argv is None else argv)
+            or _build_parser().parse_args(argv, SimpleNamespace()))
     args.t0 = time.perf_counter()
     from .core import (ContractError, InputError, ParameterError, ParseError,
                        SizeError)

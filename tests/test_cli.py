@@ -4,12 +4,13 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treepack.cli import main
+from treepack.cli import COMMANDS, _build_parser, _parse_plain, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -455,3 +456,79 @@ def test_out_is_a_usage_error_where_nothing_is_written(capsys, tmp_path, argv):
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
     assert not target.exists()
+
+
+_PARSER = _build_parser()
+
+
+def _argparse(argv):
+    """argparse's namespace for argv, or None where it exits (help or error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER.parse_args(argv, SimpleNamespace())
+        except SystemExit:
+            return None
+
+
+# Every word the grammar names, then words argparse reads in its own ways.
+_WORDS = sorted({word for command, (_, _, arguments) in COMMANDS.items()
+                 for name, kw in arguments
+                 for word in (command, name, *map(str, kw.get("choices", ())))})
+_VALUES = ["2", "3", "+3", "1_0", "\u0663", "", "g.graph"]
+_ODD = ["-h", "--help", "--", "-", "--form", "--fact", "--out=x", "--strict=1",
+        "-3", *_VALUES]
+_TOKEN = st.sampled_from(_WORDS + _ODD) | st.text(max_size=3)
+
+
+@st.composite
+def _command_lines(draw):
+    """Any token list, or a command line in plain form with up to two tokens
+    inserted (words drawn mostly from the right argument's choices)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(_TOKEN, max_size=8))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for name, kw in COMMANDS[command][2]:
+        words = st.sampled_from([*map(str, kw.get("choices", _VALUES)), "4"])
+        if name[0] != "-":
+            argv += draw(st.lists(words, min_size=1, max_size=3 if "nargs" in kw else 1))
+        elif draw(st.booleans()):
+            argv += [name] if kw.get("action") == "store_true" else [name, draw(words)]
+    for _ in range(max(0, draw(st.integers(-2, 2)))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_TOKEN))
+    return argv
+
+
+@settings(max_examples=800, deadline=None)
+@given(_command_lines())
+@example(["gen", "path", "3", "--format", "gen", "--format", "json"])
+@example(["gen", "multipartite", "3", "--format", "json", "2"])
+def test_plain_parse_is_argparse_or_declines(argv):
+    """argparse is the reference: where the plain parser answers, argparse
+    accepts the command line and builds the same namespace."""
+    plain = _parse_plain(argv)
+    if plain is not None:
+        expected = _argparse(argv)
+        assert expected is not None and vars(plain) == vars(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    # README
+    ["gen", "complete", "4", "--out", "k4.txt"],
+    ["gen", "multipartite", "3", "2"],
+    ["pack", "lex", "p3.txt", "k4.txt"],
+    ["oracle", "k4.txt"],
+    ["table", "--strict"],
+    ["table"],
+    # perfbench workloads and the CI's console-script step
+    ["pack", "cartesian", "g.txt", "h.txt", "--format", "json"],
+    ["pack", "lex", "g.txt", "h.txt", "--factor-packing", "pg.json",
+     "--factor-packing", "ph.json", "--out", "out.json"],
+    ["verify", "out.json.graph", "out.json", "--format", "json"],
+    ["verify", "k1.graph", "k1.two.json"],
+    ["oracle", "g.txt", "--format", "json"],
+    ["product", "cartesian", "g.txt", "h.txt", "--out", "p.txt"],
+])
+def test_plain_parse_takes_every_documented_command_line(argv):
+    plain = _parse_plain(argv)
+    assert plain is not None and vars(plain) == vars(_argparse(argv))

@@ -69,7 +69,8 @@ def test_family_sizes():
 
 def test_family_parameter_errors(capsys):
     # out of range: the constructor's ParameterError, and exit 2 on the CLI
-    for name, make, params in (("path", path, (0,)), ("cycle", cycle, (2,)),
+    for name, make, params in (("path", path, (0,)), ("path", path, (-3,)),
+                               ("cycle", cycle, (2,)),
                                ("complete", complete, (0,)),
                                ("multipartite", complete_multipartite, (1, 2)),
                                ("hypercube", hypercube, (0,)),
@@ -86,6 +87,12 @@ def test_family_parameter_errors(capsys):
     with pytest.raises(SystemExit) as usage:
         main(["gen", "nonesuch", "3"])
     assert usage.value.code == 2
+    # a parameter is ASCII decimal digits, as in graph files
+    for word in ("+3", "1_0", "\u0663", " 3"):
+        with pytest.raises(SystemExit) as usage:
+            main(["gen", "path", word])
+        assert usage.value.code == 2
+        assert f"invalid int value: {word!r}" in capsys.readouterr().err
 
 
 def test_edge_cap_checked_before_building():

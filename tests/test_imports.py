@@ -17,8 +17,9 @@ from treepack.cli import main
 
 SRC = Path(treepack.__file__).resolve().parents[1]
 
-# Runs main(argv) and prints the treepack modules loaded and whether
-# dataclasses was; --help exits through SystemExit.
+# Runs main(argv) and prints the treepack modules loaded and which of
+# dataclasses, argparse and gettext were; --help and usage errors exit
+# through SystemExit.
 PROBE = """
 import contextlib, io, json, sys
 from treepack.cli import main
@@ -28,7 +29,9 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+print(json.dumps({"code": code,
+                  "stdlib": [m for m in ("dataclasses", "argparse", "gettext")
+                             if m in sys.modules],
                   "modules": sorted(m[len("treepack."):] for m in sys.modules
                                     if m.startswith("treepack."))}))
 """
@@ -76,8 +79,18 @@ CASES = [
 def test_command_loads_only_the_modules_it_runs(files, argv, loaded):
     result = json.loads(_python(PROBE, *argv, cwd=files))
     assert result["code"] == 0
-    assert not result["dataclasses"]
+    # a plain command line is parsed without argparse (and its gettext)
+    assert result["stdlib"] == (["argparse", "gettext"] if argv == ["--help"] else [])
     assert result["modules"] == sorted(["cli"] + loaded)
+
+
+@pytest.mark.parametrize("argv", [["pack", "nosuch", "k4.graph", "c4.graph"],
+                                  ["gen", "path", "+3"]])
+def test_usage_error_loads_argparse_and_no_treepack_module(files, argv):
+    result = json.loads(_python(PROBE, *argv, cwd=files))
+    assert result["code"] == 2
+    assert result["stdlib"] == ["argparse", "gettext"]
+    assert result["modules"] == ["cli"]
 
 
 def test_bare_package_import_loads_no_module(tmp_path):
