@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cartesian": ("cartesian_bound", "pack_cartesian"),
-    "catalogue": ("proposition_value",),
+    "catalogue": ("complete", "complete_minus_edge", "complete_multipartite",
+                  "cycle", "hypercube", "path", "proposition_value"),
     "core": ("ConstructionError", "ContractError", "Edge", "ExtractionError",
              "Graph", "InputError", "ParameterError", "ParseError",
-             "SizeError", "TreePacking", "complete", "complete_minus_edge",
-             "complete_multipartite", "cycle", "hypercube", "path",
-             "read_graph", "write_graph"),
+             "SizeError", "TreePacking", "read_graph", "write_graph"),
     "decomp": ("LeafSplit", "extract_spanning_tree", "leaf_split", "root_tree"),
     "lex": ("LexPlan", "lex_plan", "pack_lex"),
     "oracle": ("OracleResult", "TutteCertificate", "max_packing"),

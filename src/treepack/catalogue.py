@@ -1,17 +1,89 @@
-"""The catalogue of known packing numbers: seven closed forms, 16 table rows.
+"""The catalogue: six graph families, seven closed forms, 16 table rows.
 
 Each closed form gives sigma of one family on its stated domain, and raises
 ValueError outside it.  A row of ``treepack table`` that is an instance of a
-closed form takes its catalogued value from that form.
+closed form takes its catalogued value from that form.  ``treepack gen``
+builds a family and ``treepack table`` runs the rows.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import sys
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
-from .core import (Graph, complete, complete_multipartite, cycle, hypercube,
-                   path)
-from .products import CARTESIAN, LEXICOGRAPHIC
+from .core import (Graph, ParameterError, SizeError, _dump, _emit_run_record,
+                   _graph_record, _write_out, check_edge_count, write_graph)
+
+
+def path(n: int) -> Graph:
+    if n < 1:
+        raise ParameterError(f"path requires n >= 1, got {n}")
+    check_edge_count(n - 1)
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    if n < 3:
+        raise ParameterError(f"cycle requires n >= 3, got {n}")
+    check_edge_count(n)
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n: int) -> Graph:
+    if n < 1:
+        raise ParameterError(f"complete requires n >= 1, got {n}")
+    check_edge_count(n * (n - 1) // 2)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_multipartite(parts: int, size: int) -> Graph:
+    """Complete multipartite graph with ``parts`` parts of ``size`` vertices.
+
+    Vertices are grouped by part: part p holds p*size .. (p+1)*size - 1.
+    """
+    if parts < 2:
+        raise ParameterError(f"complete_multipartite requires parts >= 2, got {parts}")
+    if size < 1:
+        raise ParameterError(f"complete_multipartite requires size >= 1, got {size}")
+    check_edge_count(parts * (parts - 1) // 2 * size * size)
+    n = parts * size
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if a // size != b // size]
+    return Graph.from_edges(n, edges)
+
+
+def hypercube(dim: int) -> Graph:
+    """The dim-dimensional hypercube: v ~ w iff v and w differ in one bit."""
+    if dim < 1:
+        raise ParameterError(f"hypercube requires dimension >= 1, got {dim}")
+    if dim > 64:   # the exact edge count would be a dim-bit integer
+        raise SizeError(f"hypercube dimension {dim} is above 64")
+    check_edge_count(dim << (dim - 1))
+    n = 1 << dim
+    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
+    return Graph.from_edges(n, edges)
+
+
+def complete_minus_edge(n: int) -> Graph:
+    """K_n with the single edge {n-2, n-1} removed."""
+    if n < 3:
+        raise ParameterError(f"complete_minus_edge requires n >= 3, got {n}")
+    check_edge_count(n * (n - 1) // 2 - 1)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (n - 2, n - 1)]
+    return Graph.from_edges(n, edges)
+
+
+# CLI family name -> (constructor, parameter count)
+FAMILIES = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "multipartite": (complete_multipartite, 2),
+    "hypercube": (hypercube, 1),
+    "complete-minus-edge": (complete_minus_edge, 1),
+}
+
 
 # Closed forms for packing numbers of the seven catalogued families.
 # Rows: 1 K_n x C_m, 2 K_n x K_m, 3 hypercube Q_n, 4 K_{n(m)} x K_r,
@@ -63,6 +135,7 @@ class TableRow(NamedTuple):
 
 def table_rows() -> list[TableRow]:
     """The rows of ``treepack table``, in output order."""
+    from .products import CARTESIAN, LEXICOGRAPHIC   # here, so gen loads no products
     return [
         TableRow("P3 x P3", CARTESIAN, path(3), path(3), 1, True),
         TableRow("P4 x P4", CARTESIAN, path(4), path(4), 1, True),
@@ -92,3 +165,84 @@ def table_rows() -> list[TableRow]:
         TableRow("P3 o K4", LEXICOGRAPHIC, path(3), complete(4), 4, True),
         TableRow("K5 o P3", LEXICOGRAPHIC, complete(5), path(3), None, None),
     ]
+
+
+def cmd_gen(args: SimpleNamespace) -> int:
+    make, count = FAMILIES[args.family]
+    if len(args.params) != count:
+        raise ParameterError(
+            f"{make.__name__} takes {count} parameter(s), got {len(args.params)}")
+    g = make(*args.params)
+    text = write_graph(g, [f"family {args.family} {' '.join(map(str, args.params))}"])
+    if args.out:
+        _write_out(args.out, text)
+    else:
+        sys.stdout.write(text if args.format == "text" else _dump(_graph_record(g)) + "\n")
+    _emit_run_record(args, [args.family] + [str(p) for p in args.params],
+                     {"n": g.n, "m": g.m, "out": args.out}, None)
+    return 0
+
+
+def _run_table_row(row: TableRow) -> dict[str, Any]:
+    from .oracle import max_packing
+    from .products import _pack
+    if row.kind is None:
+        host = row.g
+        bound = None
+        verified = None
+    else:
+        packed = _pack(row.kind, row.g, row.h, max_packing(row.g).packing,
+                       max_packing(row.h).packing)
+        host = packed.host
+        bound = len(packed.trees)
+        verified = True  # _pack verifies, as in cmd_pack
+    sigma = max_packing(host).sigma
+
+    failures = []
+    if row.closed is not None and sigma != row.closed:
+        failures.append(f"oracle {sigma} != closed form {row.closed}")
+    if bound is not None and bound > sigma:
+        failures.append(f"bound {bound} exceeds oracle {sigma}")
+    if row.expect_tight is True and bound != sigma:
+        failures.append(f"expected tight, bound {bound} != oracle {sigma}")
+
+    if bound is None:
+        note = "no construction"
+    elif bound == sigma:
+        note = "tight"
+    else:
+        note = "bound<sigma"
+    return {
+        "graph": row.label,
+        "closed": row.closed,
+        "bound": bound,
+        "sigma": sigma,
+        "verified": verified,
+        "note": note,
+        "failures": failures,
+    }
+
+
+def cmd_table(args: SimpleNamespace) -> int:
+    rows = [_run_table_row(r) for r in table_rows()]
+    if args.format == "text":
+        header = f"{'graph':<12} {'closed':>6} {'bound':>5} {'sigma':>5} {'verified':>8}  note"
+        lines = [header, "-" * len(header)]
+        for r in rows:
+            closed = "-" if r["closed"] is None else str(r["closed"])
+            bound = "-" if r["bound"] is None else str(r["bound"])
+            ver = "-" if r["verified"] is None else "yes"
+            note = r["note"]
+            if r["failures"]:
+                note += "  !! " + "; ".join(r["failures"])
+            lines.append(f"{r['graph']:<12} {closed:>6} {bound:>5} "
+                         f"{r['sigma']:>5} {ver:>8}  {note}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        sys.stdout.write(_dump(rows) + "\n")
+    failed = [r["graph"] for r in rows if r["failures"]]
+    _emit_run_record(args, [], {"rows": len(rows), "failed": failed}, True)
+    if args.strict and failed:
+        print(f"strict: failing rows: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0

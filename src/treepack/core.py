@@ -1,4 +1,4 @@
-"""Simple undirected graphs: carrier types, standard families, edge-list I/O.
+"""Simple undirected graphs: carrier types, edge-list I/O, command records.
 
 Vertices are dense integers 0..n-1.  Edges are stored as (min, max) pairs in
 sorted order, so every downstream "pick the first" tie-break is deterministic.
@@ -6,9 +6,12 @@ sorted order, so every downstream "pick the first" tie-break is deterministic.
 
 from __future__ import annotations
 
+import sys
+import time
 from collections import deque
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Any, Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -131,67 +134,6 @@ class TreePacking(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# standard families
-
-def path(n: int) -> Graph:
-    if n < 1:
-        raise ParameterError(f"path requires n >= 1, got {n}")
-    check_edge_count(n - 1)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ParameterError(f"cycle requires n >= 3, got {n}")
-    check_edge_count(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n: int) -> Graph:
-    if n < 1:
-        raise ParameterError(f"complete requires n >= 1, got {n}")
-    check_edge_count(n * (n - 1) // 2)
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_multipartite(parts: int, size: int) -> Graph:
-    """Complete multipartite graph with ``parts`` parts of ``size`` vertices.
-
-    Vertices are grouped by part: part p holds p*size .. (p+1)*size - 1.
-    """
-    if parts < 2:
-        raise ParameterError(f"complete_multipartite requires parts >= 2, got {parts}")
-    if size < 1:
-        raise ParameterError(f"complete_multipartite requires size >= 1, got {size}")
-    check_edge_count(parts * (parts - 1) // 2 * size * size)
-    n = parts * size
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n)
-             if a // size != b // size]
-    return Graph.from_edges(n, edges)
-
-
-def hypercube(dim: int) -> Graph:
-    """The dim-dimensional hypercube: v ~ w iff v and w differ in one bit."""
-    if dim < 1:
-        raise ParameterError(f"hypercube requires dimension >= 1, got {dim}")
-    if dim > 64:   # the exact edge count would be a dim-bit integer
-        raise SizeError(f"hypercube dimension {dim} is above 64")
-    check_edge_count(dim << (dim - 1))
-    n = 1 << dim
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
-    return Graph.from_edges(n, edges)
-
-
-def complete_minus_edge(n: int) -> Graph:
-    """K_n with the single edge {n-2, n-1} removed."""
-    if n < 3:
-        raise ParameterError(f"complete_minus_edge requires n >= 3, got {n}")
-    check_edge_count(n * (n - 1) // 2 - 1)
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (n - 2, n - 1)]
-    return Graph.from_edges(n, edges)
-
-
-# ---------------------------------------------------------------------------
 # edge-list text format:
 #   optional '#' comment lines and blanks, then
 #   p <n> <m>
@@ -273,3 +215,54 @@ def read_graph(text: str) -> Graph:
     if len(edges) != m:
         raise ParseError(f"'p' line promises {m} edges, found {len(edges)}")
     return Graph(n, tuple(sorted(edges)))
+
+
+# ---------------------------------------------------------------------------
+# what every command reads, writes and records; each ``cmd_*`` lives beside
+# the modules it runs.  Stdout carries the requested artifact and is
+# byte-identical across runs of the same command; a one-line run record with
+# wall time goes to stderr.
+
+def _read_text(path_: str) -> str:
+    with open(path_, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path_}: not UTF-8 text ({exc.reason})") from None
+
+
+def _write_out(path_: str, text: str) -> None:
+    with open(path_, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _dump(record: Any) -> str:
+    import json
+    # a record is tuples, lists and dicts built here, never containing itself
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
+
+
+def _emit_run_record(args: SimpleNamespace, inputs: list[str],
+                     outputs: dict[str, Any], verified: bool | None) -> None:
+    import json
+    record = {"command": args.command, "inputs": inputs, "outputs": outputs,
+              "verified": verified,
+              "wall_time_s": round(time.perf_counter() - args.t0, 3)}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+
+
+def _graph_record(g: Graph) -> dict[str, Any]:
+    return {"n": g.n, "m": g.m, "edges": g.edges}
+
+
+def _packing_record(graph_ref: str, packing: TreePacking,
+                    verified: bool) -> dict[str, Any]:
+    """A packing file; its bound is its tree count (sigma for the oracle)."""
+    return {
+        "graph": graph_ref,
+        "method": packing.method,
+        "bound": len(packing.trees),
+        "trees": packing.trees,
+        "verified": verified,
+    }

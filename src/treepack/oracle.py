@@ -16,15 +16,20 @@ search.  A search labels such an edge but does not expand it: its path in
 every forest stays inside the clump, so it can neither end the search nor
 label an edge outside the clump, and the search keeps its terminal, exchange
 chain and clumps.  The clumps of the level that fails are the
-Tutte/Nash-Williams partition certifying the bound.
+Tutte/Nash-Williams partition certifying the bound.  ``treepack oracle`` runs
+here.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from .core import ConstructionError, Edge, Graph, InputError, TreePacking
+from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
+                   _dump, _emit_run_record, _packing_record, _read_text,
+                   _write_out, read_graph)
 
 Label = tuple[Edge, int]
 
@@ -248,3 +253,34 @@ def _terminal_certificate(g: Graph, clump: list[int],
             f"internal: certificate bound {bound} disagrees with sigma {sigma}")
     return TutteCertificate(partition, crossing, bound)
 
+
+def cmd_oracle(args: SimpleNamespace) -> int:
+    from .verify import verify_packing
+    g = read_graph(_read_text(args.file))
+    result = max_packing(g)
+    verified = verify_packing(g, result.packing).overall
+    record = {
+        "sigma": result.sigma,
+        "certificate": {
+            "partition": result.certificate.partition,
+            "crossing_count": result.certificate.crossing_count,
+            "bound": result.certificate.bound,
+        },
+        "packing": _packing_record(args.file, result.packing, verified),
+    }
+    if args.out:
+        _write_out(args.out, _dump(record) + "\n")
+    if args.format == "text":
+        cert = result.certificate
+        sys.stdout.write(
+            f"sigma = {result.sigma}\n"
+            f"certificate: {len(cert.partition)} blocks, "
+            f"{cert.crossing_count} crossing edges, bound {cert.bound}\n"
+            f"packing: {len(result.packing.trees)} trees, "
+            f"verified={str(verified).lower()}\n")
+    else:
+        sys.stdout.write(_dump(record) + "\n")
+    _emit_run_record(args, [args.file],
+                     {"sigma": result.sigma, "bound": result.certificate.bound},
+                     verified)
+    return 0 if verified else 1

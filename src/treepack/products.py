@@ -2,14 +2,21 @@
 
 A product vertex is the pair (u, v) with u from the first factor and v from
 the second; it is flattened to the integer u * n2 + v, so each fiber (fixed u)
-occupies a contiguous index block.
+occupies a contiguous index block.  ``treepack product`` and ``treepack pack``
+run here; ``pack`` imports the oracle and its construction only when it runs
+them.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
-from .core import Edge, Graph, InputError, check_edge_count, write_graph
+from .core import (Edge, Graph, InputError, TreePacking, _dump,
+                   _emit_run_record, _graph_record, _packing_record, _read_text,
+                   _write_out, check_edge_count, read_graph, write_graph)
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
@@ -89,3 +96,78 @@ def lexicographic(g: Graph, h: Graph) -> ProductGraph:
 def write_product(p: ProductGraph) -> str:
     """Edge-list text with a '# product' header recording kind and fiber sizes."""
     return write_graph(p.graph, [f"product {p.kind} n1={p.n1} n2={p.n2}"])
+
+
+def cmd_product(args: SimpleNamespace) -> int:
+    g = read_graph(_read_text(args.fileG))
+    h = read_graph(_read_text(args.fileH))
+    p = cartesian(g, h) if args.kind == CARTESIAN else lexicographic(g, h)
+    text = write_product(p)
+    if args.out:
+        _write_out(args.out, text)
+    else:
+        if args.format == "text":
+            sys.stdout.write(text)
+        else:
+            record = {"kind": p.kind, "n1": p.n1, "n2": p.n2}
+            record.update(_graph_record(p.graph))
+            sys.stdout.write(_dump(record) + "\n")
+    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
+                     {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None)
+    return 0
+
+
+def _factor_packings(args: SimpleNamespace, g: Graph,
+                     h: Graph) -> tuple[TreePacking, TreePacking]:
+    from .verify import _load_packing
+    overrides = args.factor_packing or []
+    if len(overrides) > 2:
+        raise InputError("--factor-packing may be given at most twice (G then H)")
+    pg = (_load_packing(overrides[0], g)
+          if len(overrides) >= 1 else _oracle_packing(g))
+    ph = (_load_packing(overrides[1], h)
+          if len(overrides) >= 2 else _oracle_packing(h))
+    return pg, ph
+
+
+def _oracle_packing(g: Graph) -> TreePacking:
+    """The oracle's packing, or the single empty tree of a one-vertex graph."""
+    from .oracle import max_packing
+    if g.n == 1:
+        return TreePacking(g, ((),))
+    return max_packing(g).packing
+
+
+def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
+          ph: TreePacking) -> TreePacking:
+    """The verified construction for this product kind; imports only its module."""
+    if kind == CARTESIAN:
+        from .cartesian import pack_cartesian
+        return pack_cartesian(g, h, pg, ph)
+    from .lex import pack_lex
+    return pack_lex(g, h, pg, ph)
+
+
+def cmd_pack(args: SimpleNamespace) -> int:
+    g = read_graph(_read_text(args.fileG))
+    h = read_graph(_read_text(args.fileH))
+    pg, ph = _factor_packings(args, g, h)
+    packed = _pack(args.kind, g, h, pg, ph)
+    count = len(packed.trees)
+    graph_ref = "-"
+    if args.out:
+        graph_ref = os.path.basename(args.out) + ".graph"
+        product = ProductGraph(args.kind, packed.host, g.n, h.n)
+        _write_out(args.out + ".graph", write_product(product))
+    record = _packing_record(graph_ref, packed, True)
+    if args.out:
+        _write_out(args.out, _dump(record) + "\n")
+    else:
+        if args.format == "text":
+            sys.stdout.write(f"packed {args.kind} product: {count} trees "
+                             f"(bound {count}), verified=true\n")
+        else:
+            sys.stdout.write(_dump(record) + "\n")
+    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
+                     {"trees": count, "bound": count, "out": args.out}, True)
+    return 0

@@ -2,14 +2,19 @@
 
 Verification never trusts how an object was built: every check recomputes the
 property from the edge lists and carries a concrete witness on failure.  It
-is the bottom layer: it imports only the carrier types of ``core``.
+is the bottom layer: it imports only ``core``.  ``treepack verify`` runs here,
+and every packing file is read here.
 """
 
 from __future__ import annotations
 
+import sys
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
-from .core import ConstructionError, ContractError, Edge, Graph, TreePacking
+from .core import (ConstructionError, ContractError, Edge, Graph, ParseError,
+                   TreePacking, _dump, _emit_run_record, _read_text,
+                   read_graph)
 
 
 class Check(NamedTuple):
@@ -164,3 +169,50 @@ def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     for check in verify_packing(host, packing).checks:
         if not check.passed:
             raise ContractError(f"{role}: {check.name} fails: {check.witness}")
+
+
+def _load_packing(path_: str, host: Graph) -> TreePacking:
+    """Check a packing file's shape only: ``pack_*`` and ``verify`` check its
+    trees.  Its ``method``, which a report prints, must be printable text."""
+    import json
+    text = _read_text(path_)
+    try:
+        record = json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{path_}: JSON nested too deeply") from None
+    except ValueError as exc:   # not JSON, or an integer past int()'s digit limit
+        raise ParseError(f"{path_}: {exc}") from None
+    if not isinstance(record, dict) or not isinstance(record.get("trees"), list):
+        raise ParseError(f"{path_}: packing needs a \"trees\" list")
+    method = record.get("method", "user")
+    if not (isinstance(method, str) and method.isprintable()):
+        raise ParseError(f"{path_}: packing \"method\" must be printable text")
+    trees = []
+    for idx, raw in enumerate(record["trees"]):
+        if not isinstance(raw, list):
+            raise ParseError(f"{path_}: tree {idx} is not a list of edges")
+        edges = []
+        for e in raw:
+            if type(e) is not list or len(e) != 2:
+                raise ParseError(f"{path_}: tree {idx} entry {e!r} is not a [u, v] pair")
+            a, b = e
+            if type(a) is not int or type(b) is not int:
+                raise ParseError(
+                    f"{path_}: tree {idx} edge {e!r} has a non-integer vertex")
+            edges.append((a, b) if a < b else (b, a))
+        edges.sort()
+        trees.append(tuple(edges))
+    return TreePacking(host, tuple(trees), method)
+
+
+def cmd_verify(args: SimpleNamespace) -> int:
+    g = read_graph(_read_text(args.graphfile))
+    packing = _load_packing(args.packingfile, g)
+    report = verify_packing(g, packing)
+    if args.format == "text":
+        sys.stdout.write(report.render() + "\n")
+    else:
+        sys.stdout.write(_dump(report.to_record()) + "\n")
+    _emit_run_record(args, [args.graphfile, args.packingfile],
+                     {"trees": len(packing.trees)}, report.overall)
+    return 0 if report.overall else 1

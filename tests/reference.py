@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from treepack.catalogue import proposition_value
-from treepack.core import (ConstructionError, Edge, Graph, InputError,
-                           SizeError, complete, complete_multipartite, cycle,
-                           hypercube)
+from treepack.catalogue import (complete, complete_multipartite, cycle,
+                                hypercube, proposition_value)
+from treepack.core import ConstructionError, Edge, Graph, InputError, SizeError
 from treepack.oracle import TutteCertificate, max_packing
 from treepack.products import cartesian
 from treepack.verify import Check, VerificationReport

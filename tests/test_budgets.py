@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepack.cartesian import pack_cartesian
-from treepack.core import complete
+from treepack.catalogue import complete
 from treepack.decomp import leaf_split
 from treepack.lex import (BALANCED, G_RICH, H_RICH, LexPlan, lex_plan,
                           pack_lex)

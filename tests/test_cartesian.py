@@ -3,9 +3,9 @@ import random
 import pytest
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
-from treepack.core import (ContractError, Graph, InputError, TreePacking,
-                           complete, complete_multipartite, cycle, hypercube,
-                           path)
+from treepack.catalogue import (complete, complete_multipartite, cycle,
+                                hypercube, path)
+from treepack.core import ContractError, Graph, InputError, TreePacking
 from treepack.decomp import leaf_split, root_tree
 from treepack.oracle import max_packing
 from treepack.products import cartesian

@@ -125,6 +125,12 @@ def test_verify_out_of_range_vertex_fails(capsys, tmp_path):
     ({"method": "user"}, "trees"),
     ({"trees": [[[0, 1, 2]]]}, "pair"),
     ({"trees": [[[0, "a"]]]}, "non-integer"),
+    # a method the report would print: it may not forge a line of its own,
+    # reverse the text after it, or print as a Python repr
+    ({"method": "user)\nPASS packing of 2 trees (user", "trees": [[], []]},
+     "method"),
+    ({"method": "user\u202e", "trees": [[[0, 1]]]}, "method"),
+    ({"method": {"name": "user"}, "trees": [[[0, 1]]]}, "method"),
 ])
 def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem):
     k4 = tmp_path / "k4.txt"
@@ -305,6 +311,33 @@ def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "oracle", f"{name}.graph", "--format", "json")
     assert code == 0
     assert out == (GOLDEN / f"{name}.oracle.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("k4", ["complete", "4"]),
+    ("c6", ["cycle", "6"]),
+    ("p3", ["path", "3"]),
+    ("k5", ["complete", "5"]),
+])
+def test_gen_text_matches_pinned_graph(capsys, name, argv):
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.graph").read_bytes()
+
+
+@pytest.mark.parametrize("name, kind, g, h", [
+    ("k4xc6", "cartesian", "k4", "c6"),
+    ("p3lexk4", "lex", "p3", "k4"),
+    ("k4lexk4", "lex", "k4", "k4"),
+    ("k5lexp3", "lex", "k5", "p3"),
+    ("k6xk4", "cartesian", "k6", "k4"),
+])
+def test_product_text_matches_pinned_graph(capsys, monkeypatch, name, kind, g, h):
+    """``product`` prints the graph that ``pack --out`` writes beside its record."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "product", kind, f"{g}.graph", f"{h}.graph")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.pack.json.graph").read_bytes()
 
 
 @pytest.mark.parametrize("name, argv", [

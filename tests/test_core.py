@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treepack
-from treepack.cli import FAMILIES, main
+from treepack.catalogue import (FAMILIES, complete, complete_minus_edge,
+                                complete_multipartite, cycle, hypercube, path)
+from treepack.cli import main
 from treepack.core import (MAX_EDGES, Graph, ParameterError, ParseError,
-                           SizeError, complete, complete_minus_edge,
-                           complete_multipartite, cycle, hypercube,
-                           normalize_edge, path, read_graph, write_graph,
+                           SizeError, normalize_edge, read_graph, write_graph,
                            ContractError, TreePacking)
 from treepack.verify import Check, VerificationReport, check_packing
 

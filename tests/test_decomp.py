@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (ContractError, ExtractionError, Graph, complete,
-                           cycle, path)
+from treepack.catalogue import complete, cycle, path
+from treepack.core import ContractError, ExtractionError, Graph
 from treepack.decomp import extract_spanning_tree, leaf_split, root_tree
 from treepack.products import lexicographic
 

@@ -2,7 +2,8 @@
 
 The other CLI tests call ``main`` in this process.  These run the entry in a
 child process, as a user does, and check what it adds around ``main``: the
-cyclic collector is off and the start-up heap frozen.
+cyclic collector is off and the start-up heap frozen.  They also check that
+``-m`` compiles ``cli`` once: no handler imports it as ``treepack.cli``.
 """
 
 import gc
@@ -24,14 +25,14 @@ SRC = Path(treepack.__file__).resolve().parents[1]
 SCRIPT = re.search(r'^treepack = "([\w.]+):(\w+)"$',
                    (SRC.parent / "pyproject.toml").read_text(), re.M)
 
-# Prints the collector's state at exit, after the command ran, as the last
-# line of stderr.  Each entry starts the command as its real counterpart
-# does: the module under runpy, as `-m` runs it, or the script's target,
-# called as the installed wrapper calls it.
+# Prints the collector's state at exit, after the command ran, and whether
+# treepack.cli was imported, as the last line of stderr.  Each entry starts
+# the command as its real counterpart does: the module under runpy, as `-m`
+# runs it, or the script's target, called as the installed wrapper calls it.
 PROBE = """
 import atexit, gc, sys
 atexit.register(lambda: print("gc", gc.isenabled(), gc.get_freeze_count(),
-                              file=sys.stderr))
+                              "treepack.cli" in sys.modules, file=sys.stderr))
 """
 ENTRIES = {
     "module": PROBE + "import runpy\n"
@@ -95,12 +96,19 @@ def test_child_process_exit_codes(tmp_path, packing, code, head):
 @pytest.mark.parametrize("argv, code", [
     (["verify", "k4xc6.pack.json.graph", "k4xc6.pack.json"], 0),
     (["verify", "k4xc6.graph", "missing.json"], 2),
-], ids=["ok", "usage-error"])
+    (["pack", "cartesian", "k4.graph", "c6.graph", "--factor-packing",
+      "k4.factor.json", "--factor-packing", "c6.factor.json"], 0),
+    (["pack", "lex", "p3.graph", "k4.graph"], 0),
+    (["oracle", "k6.graph"], 0),
+], ids=["ok", "usage-error", "pack-given", "pack-oracle", "oracle"])
 def test_entry_runs_with_collector_off_and_heap_frozen(entry, argv, code):
     done = _child(["-c", ENTRIES[entry], *argv], GOLDEN)
     assert done.returncode == code
     state = done.stderr.decode().splitlines()[-1].split()
     assert state[:2] == ["gc", "False"] and int(state[2]) > 0
+    # under -m the entry runs as __main__, not as treepack.cli: a handler
+    # that imported treepack.cli would compile and run it a second time
+    assert state[3] == str(entry == "script")
 
 
 def test_main_in_process_leaves_gc_state_alone(capsys):

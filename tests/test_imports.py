@@ -4,6 +4,7 @@ Every case runs in a fresh interpreter, because the test process has
 already imported the whole package.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import treepack
-from treepack.cli import main
+from treepack import cli
+from treepack.catalogue import FAMILIES
+from treepack.cli import COMMANDS, main
 
 SRC = Path(treepack.__file__).resolve().parents[1]
 
@@ -61,7 +64,7 @@ GIVEN = ["--factor-packing", "k4.pack", "--factor-packing", "c4.pack"]
 CONSTRUCTION = ["core", "decomp", "products", "verify"]
 CASES = [
     (["--help"], []),
-    (["gen", "cycle", "5"], ["core"]),
+    (["gen", "cycle", "5"], ["catalogue", "core"]),
     (["product", "lex", "k4.graph", "c4.graph"], ["core", "products"]),
     (["verify", "k4.graph", "k4.pack"], ["core", "verify"]),
     (["oracle", "k4.graph"], ["core", "oracle", "verify"]),
@@ -82,6 +85,17 @@ def test_command_loads_only_the_modules_it_runs(files, argv, loaded):
     # a plain command line is parsed without argparse (and its gettext)
     assert result["stdlib"] == (["argparse", "gettext"] if argv == ["--help"] else [])
     assert result["modules"] == sorted(["cli"] + loaded)
+
+
+def test_each_handler_lives_in_the_module_commands_names():
+    """``cli`` is the entry and the grammar: a command compiles its handler's
+    module, not every handler."""
+    assert [name for name in vars(cli) if name.startswith("cmd_")] == []
+    for command, (home, _, _) in COMMANDS.items():
+        module = importlib.import_module(f"treepack.{home}")
+        assert callable(getattr(module, f"cmd_{command}")), command
+    # the grammar spells the family names out, so parsing imports nothing
+    assert dict(COMMANDS["gen"][2])["family"]["choices"] == tuple(sorted(FAMILIES))
 
 
 @pytest.mark.parametrize("argv", [["pack", "nosuch", "k4.graph", "c4.graph"],

@@ -1,8 +1,8 @@
 import pytest
 
-from treepack.core import (InputError, TreePacking, complete,
-                           complete_minus_edge, complete_multipartite, cycle,
-                           path)
+from treepack.catalogue import (complete, complete_minus_edge,
+                                complete_multipartite, cycle, path)
+from treepack.core import InputError, TreePacking
 from treepack.lex import BALANCED, G_RICH, H_RICH, lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import lexicographic

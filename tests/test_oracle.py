@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepack.catalogue import (complete, complete_minus_edge,
+                                complete_multipartite, cycle, hypercube, path)
 from treepack.core import (ConstructionError, Graph, InputError, SizeError,
-                           complete, complete_minus_edge, complete_multipartite,
-                           cycle, hypercube, path, read_graph)
+                           read_graph)
 from treepack.oracle import _find, _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.core import (Graph, InputError, SizeError, complete, cycle, path,
-                           read_graph, write_graph)
+from treepack.catalogue import complete, cycle, path
+from treepack.core import Graph, InputError, SizeError, read_graph, write_graph
 from treepack.products import (ProductGraph, cartesian, lexicographic,
                                write_product)
 

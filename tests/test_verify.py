@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepack.cartesian import cartesian_bound, pack_cartesian
-from treepack.catalogue import proposition_value
-from treepack.core import (ConstructionError, Graph, SizeError, TreePacking,
-                           complete, cycle, path)
+from treepack.catalogue import complete, cycle, path, proposition_value
+from treepack.core import ConstructionError, Graph, SizeError, TreePacking
 from treepack.lex import lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
