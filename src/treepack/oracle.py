@@ -1,18 +1,27 @@
 """Exact spanning-tree packing via matroid union, with optimality certificates.
 
-The packer grows k edge-disjoint forests one level at a time.  Each forest is
-rooted (parent and depth arrays), so the path joining two vertices is walked
-up from both ends in O(path length).  Each root keeps its tree's vertex count
-and an insert re-roots the smaller of the two trees it joins, so a vertex is
-re-rooted O(log n) times while a forest grows; a path is unique, so the
-rooting never changes it.  Inside a level every unused edge gets at most one
+The packer grows k edge-disjoint forests one level at a time.  Level 1 needs
+no search: with one forest an exchange cannot succeed and a failed search
+changes nothing, so the first forest is the first-fit spanning tree of the
+edge list, built with a union-find.  Each forest is rooted (parent and depth
+arrays), so the path joining two vertices is walked up from both ends in
+O(path length).  Each root keeps its tree's vertex count and an insert
+re-roots the smaller of the two trees it joins, so a vertex is re-rooted
+O(log n) times while a forest grows; a path is unique, so the rooting never
+changes it.  Inside a later level every unused edge gets at most one
 augmentation attempt: a breadth-first search over exchange moves (replace a
 forest edge by another edge whose endpoints that forest connects) that either
-finds a forest with room or proves none exists.  A failed search merges the
-endpoints of every edge it labelled into one clump (Roskind and Tarjan, 1985);
-a clump is connected inside every forest and no later augmentation touches
-its edges, so an edge with both endpoints in one clump is rejected without a
-search.  A search labels such an edge but does not expand it: its path in
+finds a forest with room or proves none exists.  An augmenting chain keeps
+the size of every forest it passes through and grows only the receiving one,
+so the older forests stay spanning trees and only the newest can receive: the
+search walks the newest forest's path first and, when there is none, ends
+before it labels any older forest's path.  A failed search merges the
+endpoints of every edge it labelled into one clump (Roskind and Tarjan,
+1985); a clump is connected inside every forest and no later augmentation
+touches its edges, so an edge with both endpoints in one clump is rejected
+without a search.  Clumps are flat labels: clump[v] is v's block id, read in
+one comparison, and a merge relabels the smaller block from its member list.
+A search labels an edge inside a clump but does not expand it: its path in
 every forest stays inside the clump, so it can neither end the search nor
 label an edge outside the clump, and the search keeps its terminal, exchange
 chain and clumps.  The clumps of the level that fails are the
@@ -154,24 +163,29 @@ class _ForestFamily:
         """Breadth-first exchange search from an unused edge.
 
         Returns (terminal edge, receiving forest, labels); terminal None means
-        no forest can absorb the edge even after exchanges.  `clump` is the
-        level's union-find; an edge inside one clump is labelled, not expanded.
+        no forest can absorb the edge even after exchanges.  The older forests
+        are spanning trees, so only the newest can receive and its path is
+        walked first.  `clump` is the level's flat block labels; an edge
+        inside one block is labelled, not expanded.
         """
         label: dict[Edge, Label | None] = {e0: None}
         queue = deque([e0])
+        newest = len(self.adj) - 1
         while queue:
             f = queue.popleft()
             a, b = f
-            for i in range(len(self.adj)):
-                if self.owner.get(f) == i:
+            own = self.owner.get(f)
+            if own != newest:
+                last = self.path_in(newest, a, b)
+                if last is None:
+                    return f, newest, label
+            for i in range(newest + 1):
+                if i == own:
                     continue
-                path = self.path_in(i, a, b)
-                if path is None:
-                    return f, i, label
-                for g in path:
+                for g in last if i == newest else self.path_in(i, a, b):
                     if g not in label:
                         label[g] = (f, i)
-                        if _find(clump, g[0]) != _find(clump, g[1]):
+                        if clump[g[0]] != clump[g[1]]:
                             queue.append(g)
         return None, -1, label
 
@@ -205,48 +219,51 @@ def max_packing(g: Graph) -> OracleResult:
     if not g.is_connected():
         raise InputError("packing number of a disconnected graph is undefined here")
     family = _ForestFamily(g.n)
-    sigma = 0
-    witness: TreePacking | None = None
+    family.add_forest()
+    first = list(range(g.n))
+    for e in g.edges:
+        ra, rb = _find(first, e[0]), _find(first, e[1])
+        if ra != rb:
+            first[ra] = rb
+            family.insert(e, 0)
     while True:
+        sigma, witness = len(family.adj), family.snapshot(g)
         family.add_forest()
         clump = list(range(g.n))
+        members = [[v] for v in range(g.n)]
         for e in g.edges:
-            if e in family.owner or _find(clump, e[0]) == _find(clump, e[1]):
+            if e in family.owner or clump[e[0]] == clump[e[1]]:
                 continue
             f, i, label = family.search(e, clump)
             if f is not None:
                 family.augment(f, i, label)
                 continue
             for a, b in label:
-                ra, rb = _find(clump, a), _find(clump, b)
-                if ra != rb:
-                    clump[ra] = rb
+                ca, cb = clump[a], clump[b]
+                if ca != cb:
+                    if len(members[ca]) > len(members[cb]):
+                        ca, cb = cb, ca
+                    for v in members[ca]:
+                        clump[v] = cb
+                    members[cb] += members[ca]
+                    members[ca] = []
         if not family.complete():
             break
-        sigma = len(family.adj)
-        witness = family.snapshot(g)
-    certificate = _terminal_certificate(g, clump, sigma)
-    if witness is None:
-        raise ConstructionError("internal: no packing found for a connected graph")
-    return OracleResult(sigma, witness, certificate)
+    return OracleResult(sigma, witness, _terminal_certificate(g, members, clump, sigma))
 
 
-def _terminal_certificate(g: Graph, clump: list[int],
+def _terminal_certificate(g: Graph, members: list[list[int]], clump: list[int],
                           sigma: int) -> TutteCertificate:
     """Certificate from the clumps of the failed level.
 
     Inside a clump each forest of the failed level restricts to a spanning
     tree, so crossing edges are too few for one more tree.
     """
-    blocks: dict[int, list[int]] = {}
-    for v in range(g.n):
-        blocks.setdefault(_find(clump, v), []).append(v)
-    partition = tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+    partition = tuple(sorted(tuple(sorted(b)) for b in members if b))
     p = len(partition)
     if p < 2:
         raise ConstructionError("internal: degenerate certificate partition")
-    block_of = {v: i for i, blk in enumerate(partition) for v in blk}
-    crossing = sum(1 for a, b in g.edges if block_of[a] != block_of[b])
+    crossing = sum(1 for a, b in g.edges if clump[a] != clump[b])
     bound = crossing // (p - 1)
     if bound != sigma:
         raise ConstructionError(

@@ -61,6 +61,41 @@ def test_gen_multipartite_and_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_gen_multipartite_size_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "multipartite", "2", "0")
+    assert code == 2 and out == ""
+    assert "complete_multipartite requires size >= 1, got 0" in err
+
+
+def test_product_with_empty_factor_is_usage_error(capsys, tmp_path):
+    empty, p3 = tmp_path / "empty.txt", tmp_path / "p3.txt"
+    empty.write_text("p 0 0\n")
+    run(capsys, "gen", "path", "3", "--out", str(p3))
+    code, out, err = run(capsys, "product", "cartesian", str(empty), str(p3))
+    assert code == 2 and out == ""
+    assert "both factors must be non-empty" in err
+
+
+def test_product_out_writes_the_graph_and_no_stdout(capsys, tmp_path):
+    p3, target = tmp_path / "p3.txt", tmp_path / "p3xp3.txt"
+    run(capsys, "gen", "path", "3", "--out", str(p3))
+    _, printed, _ = run(capsys, "product", "cartesian", str(p3), str(p3))
+    code, out, _ = run(capsys, "product", "cartesian", str(p3), str(p3),
+                       "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == printed
+
+
+def test_factor_packing_three_times_is_usage_error(capsys, tmp_path):
+    k4, pk = tmp_path / "k4.txt", tmp_path / "pk.json"
+    run(capsys, "gen", "complete", "4", "--out", str(k4))
+    pk.write_text(json.dumps({"trees": [[[0, 1], [0, 2], [0, 3]]]}))
+    code, out, err = run(capsys, "pack", "cartesian", str(k4), str(k4),
+                         *["--factor-packing", str(pk)] * 3)
+    assert code == 2 and out == ""
+    assert "may be given at most twice" in err
+
+
 def test_product_files(capsys, tmp_path):
     p3 = tmp_path / "p3.txt"
     k4 = tmp_path / "k4.txt"
@@ -131,6 +166,7 @@ def test_verify_out_of_range_vertex_fails(capsys, tmp_path):
      "method"),
     ({"method": "user\u202e", "trees": [[[0, 1]]]}, "method"),
     ({"method": {"name": "user"}, "trees": [[[0, 1]]]}, "method"),
+    ({"trees": [5]}, "tree 0 is not a list of edges"),
 ])
 def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem):
     k4 = tmp_path / "k4.txt"
@@ -438,6 +474,24 @@ def test_table_reports_loose_bounds_without_failing(capsys):
     assert "bound<sigma" in k5row
     assert " 2 " in k5row and " 3 " in k5row
     assert not any("!!" in l for l in lines)
+
+
+def test_table_reports_a_failing_row(capsys, monkeypatch):
+    # every catalogue row passes, so a row with a wrong closed form is the
+    # only way to run the failure branch: K4 packs 2 trees, not 5
+    from treepack import catalogue
+    row = catalogue.TableRow("K4", None, catalogue.complete(4), None, 5, None)
+    monkeypatch.setattr(catalogue, "table_rows", lambda: [row])
+    code, out, err = run(capsys, "table")
+    assert code == 0
+    assert "!! oracle 2 != closed form 5" in out
+    assert "strict:" not in err
+    code, out, _ = run(capsys, "table", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["failures"] == ["oracle 2 != closed form 5"]
+    code, _, err = run(capsys, "table", "--strict")
+    assert code == 1
+    assert "strict: failing rows: K4" in err
 
 
 def test_table_json_rows(capsys):

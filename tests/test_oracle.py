@@ -193,8 +193,9 @@ ORACLE_CORPUS = Path(__file__).parent / "golden" / "oracle_corpus.json"
 
 def oracle_corpus() -> dict[str, Graph]:
     """Q1-Q8, K2-K20, the structured shapes of the oracle-sparse benchmark
-    workload (built as `treepack product` labels them) and 100 seeded random
-    connected graphs with n <= 40."""
+    workload (built as `treepack product` labels them), 100 seeded random
+    connected graphs with n <= 40, 12 seeded sparse graphs of known sigma 1-4
+    with 60 <= n <= 150 and 8 seeded dense graphs with 12 <= n <= 20."""
     graphs = {f"Q{d}": hypercube(d) for d in range(1, 9)}
     graphs.update({f"K{n}": complete(n) for n in range(2, 21)})
     for name, g, h in [
@@ -208,7 +209,45 @@ def oracle_corpus() -> dict[str, Graph]:
     rng = random.Random(2013)
     for i in range(100):
         graphs[f"R{i}"] = random_connected(rng, rng.randint(2, 40))
+    rng = random.Random(1965)
+    for i in range(12):
+        graphs[f"S{i}"] = sparse_packed(rng, rng.randint(60, 150), rng.randint(1, 4))
+    for i in range(8):
+        graphs[f"D{i}"] = dense_connected(rng, rng.randint(12, 20))
     return graphs
+
+
+def sparse_packed(rng: random.Random, n: int, k: int) -> Graph:
+    """k random edge-disjoint spanning trees plus fewer than n-1 random
+    edges, so sigma is k: the shape of the oracle-sparse random inputs."""
+    used: set = set()
+    for _ in range(k):
+        while True:
+            order = rng.sample(range(n), n)
+            tree = []
+            for i in range(1, n):
+                v = order[i]
+                free = [(min(u, v), max(u, v)) for u in order[:i]
+                        if (min(u, v), max(u, v)) not in used]
+                if not free:
+                    break
+                tree.append(rng.choice(free))
+            else:
+                used.update(tree)
+                break
+    rest = [(a, b) for a in range(n) for b in range(a + 1, n)
+            if (a, b) not in used]
+    return Graph.from_edges(n, sorted(used | set(rng.sample(rest, rng.randrange(n - 1)))))
+
+
+def dense_connected(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree plus each other pair with probability 0.5-0.95:
+    the shape of the dense factors `pack` runs the oracle on."""
+    keep = rng.uniform(0.5, 0.95)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges.update((a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < keep)
+    return Graph.from_edges(n, sorted(edges))
 
 
 def oracle_digest(g: Graph) -> str:
@@ -222,7 +261,9 @@ def oracle_digest(g: Graph) -> str:
 
 def test_oracle_corpus_outputs_pinned():
     # The pinned digests were written by the oracle before clump pruning and
-    # smaller-side re-rooting; any change to a tree or certificate shows here.
+    # smaller-side re-rooting (S* and D* before the search-free first level,
+    # the newest-forest-first search and flat clump labels); any change to a
+    # tree or certificate shows here.
     # Regenerate only for an intended output change:
     #   json.dumps({k: oracle_digest(g) for k, g in oracle_corpus().items()},
     #              indent=1)
@@ -264,6 +305,48 @@ def components(n: int, edges) -> list[int]:
     for a, b in edges:
         label[_find(label, a)] = _find(label, b)
     return [_find(label, v) for v in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32))
+def test_older_forests_stay_spanning_trees(n, seed):
+    # The search tests only the newest forest for room, which is exact only
+    # if every older forest is a spanning tree after each augment; level 1
+    # runs no search and must be the first-fit forest of the edge list.
+    g = random_connected(random.Random(seed), n)
+    first_fit, uf = [], list(range(n))
+    for a, b in g.edges:
+        ra, rb = _find(uf, a), _find(uf, b)
+        if ra != rb:
+            uf[ra] = rb
+            first_fit.append((a, b))
+    augment, add_forest = _ForestFamily.augment, _ForestFamily.add_forest
+    seen = {"level 1": 0, "augments": 0}
+
+    def forest(family, i):
+        return sorted(e for e, j in family.owner.items() if j == i)
+
+    def checked_add_forest(self):
+        if len(self.adj) == 1:
+            assert forest(self, 0) == first_fit
+            seen["level 1"] += 1
+        add_forest(self)
+
+    def checked_augment(self, f, i, label):
+        augment(self, f, i, label)
+        assert len(self.adj) >= 2
+        for j in range(len(self.adj) - 1):
+            tree = forest(self, j)
+            assert len(tree) == n - 1
+            assert len(set(components(n, tree))) == 1
+        seen["augments"] += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ForestFamily, "add_forest", checked_add_forest)
+        mp.setattr(_ForestFamily, "augment", checked_augment)
+        max_packing(g)
+    assert seen["level 1"] == 1
+    assert seen["augments"] > 0 or g.m == n - 1
 
 
 @settings(max_examples=100, deadline=None)
