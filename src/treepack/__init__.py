@@ -17,10 +17,9 @@ _EXPORTS = {
     "cartesian": ("cartesian_bound", "pack_cartesian"),
     "catalogue": ("complete", "complete_minus_edge", "complete_multipartite",
                   "cycle", "hypercube", "path", "proposition_value"),
-    "core": ("ConstructionError", "ContractError", "Edge", "ExtractionError",
-             "Graph", "InputError", "ParameterError", "ParseError",
-             "SizeError", "TreePacking", "read_graph", "write_graph"),
-    "decomp": ("LeafSplit", "extract_spanning_tree", "leaf_split", "root_tree"),
+    "core": ("ConstructionError", "ContractError", "Edge", "Graph",
+             "InputError", "ParameterError", "ParseError", "SizeError",
+             "TreePacking", "read_graph", "write_graph"),
     "lex": ("LexPlan", "lex_plan", "pack_lex"),
     "oracle": ("OracleResult", "TutteCertificate", "max_packing"),
     "products": ("ProductGraph", "lexicographic", "write_product"),

@@ -36,10 +36,6 @@ class ConstructionError(RuntimeError):
     """A packing construction produced or detected an invalid state."""
 
 
-class ExtractionError(ValueError):
-    """Spanning-tree extraction failed: subgraph disconnected or non-spanning."""
-
-
 class SizeError(ValueError):
     """Instance too large to build or to search exhaustively."""
 
@@ -224,7 +220,8 @@ def read_graph(text: str) -> Graph:
 # wall time goes to stderr.
 
 def _read_text(path_: str) -> str:
-    with open(path_, "r", encoding="utf-8") as fh:
+    # newline="": lines end where read_graph ends them, at '\n' only
+    with open(path_, "r", encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

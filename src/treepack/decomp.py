@@ -3,28 +3,23 @@
 Pieces: spanning trees rooted as (parent, child) edges, the leaf split of a
 tree into a kept subtree and a deleted forest, and deterministic
 spanning-tree extraction.  The bundle matchings live on
-``ProductGraph.matching_copy``.
+``ProductGraph.matching_copy``.  Nothing here checks its input: the
+constructions pass only factor trees that ``check_packing`` has passed, and
+``verified_packing`` checks what they build.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import ContractError, Edge, ExtractionError, bfs_tree, normalize_edge
+from .core import Edge, bfs_tree, normalize_edge
 
 
 def root_tree(n: int, tree: tuple[Edge, ...]) -> tuple[Edge, ...]:
     """A spanning tree of the vertices 0..n-1 rooted at vertex 0: its edges
-    as (parent, child), in breadth-first order of the child.
-
-    Raises ContractError unless the tree has n-1 edges inside 0..n-1 and
-    reaches all n vertices, which together make it a spanning tree.
-    """
-    if len(tree) == n - 1 and all(0 <= v < n for e in tree for v in e):
-        parent, order = bfs_tree(n, tree)
-        if len(order) == n:
-            return tuple((parent[v], v) for v in order[1:])
-    raise ContractError("input is not a spanning tree of its host")
+    as (parent, child), in breadth-first order of the child."""
+    parent, order = bfs_tree(n, tree)
+    return tuple((parent[v], v) for v in order[1:])
 
 
 class LeafSplit(NamedTuple):
@@ -44,9 +39,8 @@ def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
     remain.
 
     Deterministic: each step removes the current leaf with the smallest
-    vertex index.  Raises ContractError as ``root_tree`` does.
+    vertex index.
     """
-    root_tree(n, tree)
     target = (n + 1) // 2
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for a, b in tree:
@@ -71,16 +65,8 @@ def extract_spanning_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """Breadth-first spanning tree of a connected subgraph on 0..n-1.
 
     Deterministic: search starts at vertex 0 and scans neighbors in ascending
-    order, so the same edges in any order always yield the same tree.  Raises
-    ContractError, before the search allocates, when n < 1 or an edge leaves
-    0..n-1.
+    order, so the same edges in any order always yield the same tree.  A
+    disconnected subgraph yields the tree of vertex 0's component only.
     """
-    edges = list(edges)
-    if n < 1 or not all(0 <= v < n for e in edges for v in e):
-        raise ContractError("edges must join vertices 0..n-1 of a non-empty graph")
     parent, order = bfs_tree(n, edges)
-    if len(order) < n:
-        v = parent.index(-1)
-        raise ExtractionError(
-            f"vertex {v} is not reachable from vertex 0 in the subgraph")
     return tuple(sorted(normalize_edge(parent[w], w) for w in order[1:]))

@@ -120,12 +120,13 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     clash = None
     if len(set().union(*trees)) != sum(map(len, trees)):
         seen: dict[Edge, int] = {}
-        for idx, t in enumerate(trees):  # name the first shared edge
+        # name the first edge two trees share; a repeat inside one tree is
+        # its acyclic check's failure
+        for idx, t in enumerate(trees):
             for e in t:
-                if e in seen:
+                if seen.setdefault(e, idx) != idx:
                     clash = (e, seen[e], idx)
                     break
-                seen[e] = idx
             if clash:
                 break
     checks.append(Check(

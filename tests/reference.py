@@ -1,8 +1,8 @@
 """Independent references the tests check treepack against.
 
-Each is slow or small-scale on purpose: a connected-components search, an
-exhaustive partition search, and the graphs of the catalogued closed forms
-with a check of one row against the exact oracle.
+Each is slow or small-scale on purpose: a connected-components search, a
+one-cycle test, an exhaustive partition search, and the graphs of the
+catalogued closed forms with a check of one row against the exact oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +49,20 @@ def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
                     queue.append(w)
         blocks.append(tuple(sorted(block)))
     return tuple(blocks)
+
+
+def is_one_cycle(edges: list[Edge], length: int) -> bool:
+    """The edges form a single cycle through ``length`` vertices."""
+    verts = {v for e in edges for v in e}
+    if len(edges) != length or len(verts) != length:
+        return False
+    deg: dict[int, int] = {}
+    for a, b in edges:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+    packed = {v: i for i, v in enumerate(sorted(verts))}
+    comp = components(len(packed), [(packed[a], packed[b]) for a, b in edges])
+    return all(d == 2 for d in deg.values()) and len(comp) == 1
 
 
 def tutte_bruteforce(g: Graph) -> TutteCertificate:

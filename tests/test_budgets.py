@@ -10,6 +10,7 @@ k disjoint spanning trees need k(n-1) <= n(n-1)/2 edges.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,14 @@ from hypothesis import strategies as st
 
 from treepack.cartesian import pack_cartesian
 from treepack.catalogue import complete
-from treepack.decomp import leaf_split
+from treepack.core import Graph
+from treepack.decomp import leaf_split, root_tree
 from treepack.lex import (BALANCED, G_RICH, H_RICH, LexPlan, lex_plan,
                           pack_lex)
 from treepack.oracle import max_packing
+from treepack.products import LEXICOGRAPHIC, ProductGraph
+
+from reference import components, is_one_cycle
 
 CARTESIAN_MAX_N = 60
 LEX_MAX_N = 40
@@ -59,6 +64,14 @@ def _leftover_rungs_suffice(n1: int, ell: int, subtree_left: int,
 
 def _random_tree(n: int, rng: random.Random) -> tuple:
     return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
+
+
+def _relabelled_tree(n: int, rng: random.Random) -> tuple:
+    """A random tree whose edges, read as (min, max), are not all oriented
+    away from vertex 0."""
+    label = rng.sample(range(n), n)
+    return tuple(sorted((min(label[a], label[b]), max(label[a], label[b]))
+                        for a, b in _random_tree(n, rng)))
 
 
 def test_cartesian_spare_fibers_lemma():
@@ -165,6 +178,84 @@ def test_lex_budgets_beyond_the_exhaustive_range(data):
     k = data.draw(st.integers(1, n1 // 2))
     ell = data.draw(st.integers(1, n2 // 2))
     _lex_budgets_hold(k, ell, n1, n2, _candidate_count(k, n2))
+
+
+# g_rich zips each single, parallel subgraph (i, j) = matching j over G-tree
+# i, with a cycle, matchings 2r-1 and 2r over one edge (p, c) of a G-tree,
+# and takes a spanning tree of their union.  The union is connected: the
+# single's n2 components each meet every fiber once, so each meets fiber p,
+# and the cycle is connected and runs through all of fiber p.  The two
+# lemmas below check these facts for every j, r and tree edge, so they hold
+# for whichever pairs the zip makes.
+
+LEX_UNION_MAX_N = 12
+
+
+def _shell(n1: int, n2: int) -> ProductGraph:
+    """A lexicographic product's copy verbs without its edges."""
+    return ProductGraph(LEXICOGRAPHIC, Graph(0, ()), n1, n2)
+
+
+def _single_meets_every_fiber_once(n1: int, n2: int, tree: tuple,
+                                   j: int) -> bool:
+    """Matching j over the tree rooted as pack_lex roots it has n2
+    components, each holding one vertex of every fiber."""
+    single = _shell(n1, n2).matching_copy(root_tree(n1, tree), j)
+    comps = components(n1 * n2, single)
+    return len(comps) == n2 and all(
+        [v // n2 for v in comp] == list(range(n1)) for comp in comps)
+
+
+def _pair_is_one_cycle_through_both_fibers(n2: int, p: int, c: int,
+                                           r: int) -> bool:
+    """Matchings 2r-1 and 2r over (p, c) form one cycle through all 2*n2
+    vertices of fibers p and c."""
+    shell = _shell(max(p, c) + 1, n2)
+    cycle = (shell.matching_copy([(p, c)], 2 * r - 1)
+             + shell.matching_copy([(p, c)], 2 * r))
+    fibers = {u * n2 + t for u in (p, c) for t in range(n2)}
+    return ({v for e in cycle for v in e} == fibers
+            and is_one_cycle(cycle, 2 * n2))
+
+
+def test_lex_single_meets_every_fiber_once_lemma():
+    # a path, a star and a random tree with shuffled labels, each rooted at
+    # 0 by root_tree
+    rng = random.Random(11)
+    for n1 in range(2, LEX_UNION_MAX_N + 1):
+        trees = {tuple((v, v + 1) for v in range(n1 - 1)),
+                 tuple((0, v) for v in range(1, n1)), _relabelled_tree(n1, rng)}
+        for tree in trees:
+            for n2 in range(2, LEX_UNION_MAX_N + 1):
+                for j in range(1, n2 + 1):
+                    assert _single_meets_every_fiber_once(n1, n2, tree, j), \
+                        (n1, n2, tree, j)
+
+
+def test_lex_cycle_pair_lemma():
+    # every oriented edge between four fibers: both orientations, adjacent
+    # fibers and not
+    for n2 in range(2, LEX_MAX_N + 1):
+        for p, c in permutations(range(4), 2):
+            for r in range(1, n2 // 2 + 1):
+                assert _pair_is_one_cycle_through_both_fibers(n2, p, c, r), \
+                    (n2, p, c, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lex_union_lemmas_beyond_the_exhaustive_range(data):
+    n1 = data.draw(st.integers(2, 120))
+    n2 = data.draw(st.integers(LEX_UNION_MAX_N + 1 if n1 <= LEX_UNION_MAX_N
+                               else 2, 120))
+    tree = _relabelled_tree(n1, random.Random(data.draw(st.integers(0, 2**32))))
+    j = data.draw(st.integers(1, n2))
+    assert _single_meets_every_fiber_once(n1, n2, tree, j)
+    n2 = data.draw(st.integers(LEX_MAX_N + 1, 10**4))
+    p, c = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=2,
+                              unique=True))
+    r = data.draw(st.integers(1, n2 // 2))
+    assert _pair_is_one_cycle_through_both_fibers(n2, p, c, r)
 
 
 def _complete_packing(n: int):

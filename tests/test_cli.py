@@ -186,8 +186,10 @@ def test_malformed_packing_file_is_usage_error(capsys, tmp_path, record, problem
     ("verify", None, b"[[[0, " + b"1" * 5000 + b"]]]", "pk.json: Exceeds the limit"),
     # '\v' breaks no line: the edge sits inside the comment
     ("verify", b"p 2 1\n# note\ve 0 1\n", None, "promises 1 edges, found 0"),
+    # nor does a lone '\r': the file is one line, as read_graph reads it
+    ("oracle", b"p 2 1\re 0 1\r", None, "line 1: expected 'p <n> <m>'"),
 ], ids=["graph-not-utf8", "oracle-not-utf8", "packing-not-utf8", "deep-json",
-        "long-integer", "edge-in-comment"])
+        "long-integer", "edge-in-comment", "lone-cr"])
 def test_hostile_files_are_usage_errors(capsys, tmp_path, command, graph,
                                         packing, needle):
     g, pk = tmp_path / "g.txt", tmp_path / "pk.json"
@@ -347,6 +349,16 @@ def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "oracle", f"{name}.graph", "--format", "json")
     assert code == 0
     assert out == (GOLDEN / f"{name}.oracle.json").read_text()
+
+
+def test_crlf_graph_file_reads_as_its_lf_golden(capsys, monkeypatch, tmp_path):
+    """CRLF line ends read as LF ones: each '\\r' is whitespace in its line."""
+    (tmp_path / "k6.graph").write_bytes(
+        (GOLDEN / "k6.graph").read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "oracle", "k6.graph", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "k6.oracle.json").read_text()
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -169,6 +169,9 @@ def test_verify_packing_mutations_fail():
     assert not rep.overall
     acyc = [c for c in rep.checks if c.name == "tree 0: acyclic"][0]
     assert not acyc.passed and "closes a cycle" in str(acyc.witness)
+    # and shares no edge with another tree
+    shared = [c for c in rep.checks if "disjoint" in c.name][0]
+    assert shared.passed and shared.witness is None
 
 
 def _mk(g, edge_lists):
