@@ -67,8 +67,10 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
 
     # Each G-tree's edges as (parent, child) from root 0.  Parallel subgraph
     # (i, j) is matching_copy(oriented[i], j): n2 components, each meeting
-    # every fiber once; this orientation makes the n2 subgraphs of one tree
-    # edge-disjoint.
+    # every fiber once.  Matchings 1..n2 split an edge's bundle under any
+    # orientation, so the n2 subgraphs of one tree are edge-disjoint anyway;
+    # the BFS orientation only fixes which product edges each tree gets, and
+    # dropping it would change the pinned lex outputs.
     oriented = [root_tree(n1, t) for t in pack_g.trees]
 
     def section_tree(t: int, v: int) -> tuple[Edge, ...]:

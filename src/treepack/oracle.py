@@ -77,7 +77,6 @@ class _ForestFamily:
         self.parent: list[list[int]] = []   # -1 marks a root
         self.depth: list[list[int]] = []
         self.span: list[list[int]] = []     # vertex count of a root's tree
-        self.sizes: list[int] = []
         self.owner: dict[Edge, int] = {}
 
     def add_forest(self) -> None:
@@ -85,7 +84,6 @@ class _ForestFamily:
         self.parent.append([-1] * self.n)
         self.depth.append([0] * self.n)
         self.span.append([1] * self.n)
-        self.sizes.append(0)
 
     def path_in(self, i: int, a: int, b: int) -> list[Edge] | None:
         """Edges of the a-b path in forest i, or None if a,b are separated."""
@@ -144,7 +142,6 @@ class _ForestFamily:
             a, b, ra, rb = b, a, rb, ra
         self.span[i][rb] += self._hang(i, a, b)
         self.owner[e] = i
-        self.sizes[i] += 1
 
     def remove(self, e: Edge, i: int) -> None:
         if self.owner.get(e) != i:
@@ -156,7 +153,6 @@ class _ForestFamily:
         span[b] = self._hang(i, b, -1)
         span[self._root(i, a)] -= span[b]
         del self.owner[e]
-        self.sizes[i] -= 1
 
     def search(self, e0: Edge, clump: list[int]
                ) -> tuple[Edge | None, int, dict[Edge, Label | None]]:
@@ -201,9 +197,6 @@ class _ForestFamily:
             self.insert(f, i)
             f, i = pred, j
 
-    def complete(self) -> bool:
-        return all(s == self.n - 1 for s in self.sizes)
-
     def snapshot(self, g: Graph) -> TreePacking:
         per: list[list[Edge]] = [[] for _ in self.adj]
         for e, i in self.owner.items():
@@ -247,7 +240,8 @@ def max_packing(g: Graph) -> OracleResult:
                         clump[v] = cb
                     members[cb] += members[ca]
                     members[ca] = []
-        if not family.complete():
+        # a forest holds at most n-1 edges: the level failed iff one is short
+        if len(family.owner) != len(family.adj) * (g.n - 1):
             break
     return OracleResult(sigma, witness, _terminal_certificate(g, members, clump, sigma))
 

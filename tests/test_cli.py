@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commands import GOLDEN, ROWS
 from treepack.cli import COMMANDS, _build_parser, _parse_plain, main
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -343,14 +342,6 @@ def test_oracle_text_and_json(capsys, tmp_path):
     assert len(record["packing"]["trees"]) == 2
 
 
-@pytest.mark.parametrize("name", ["k6", "q4", "k4xc6", "rand12"])
-def test_oracle_json_matches_pinned_output(capsys, monkeypatch, name):
-    monkeypatch.chdir(GOLDEN)
-    code, out, _ = run(capsys, "oracle", f"{name}.graph", "--format", "json")
-    assert code == 0
-    assert out == (GOLDEN / f"{name}.oracle.json").read_text()
-
-
 def test_crlf_graph_file_reads_as_its_lf_golden(capsys, monkeypatch, tmp_path):
     """CRLF line ends read as LF ones: each '\\r' is whitespace in its line."""
     (tmp_path / "k6.graph").write_bytes(
@@ -361,73 +352,16 @@ def test_crlf_graph_file_reads_as_its_lf_golden(capsys, monkeypatch, tmp_path):
     assert out == (GOLDEN / "k6.oracle.json").read_text()
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("k4", ["complete", "4"]),
-    ("c6", ["cycle", "6"]),
-    ("p3", ["path", "3"]),
-    ("k5", ["complete", "5"]),
-])
-def test_gen_text_matches_pinned_graph(capsys, name, argv):
-    code, out, _ = run(capsys, "gen", *argv)
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.graph").read_bytes()
-
-
-@pytest.mark.parametrize("name, kind, g, h", [
-    ("k4xc6", "cartesian", "k4", "c6"),
-    ("p3lexk4", "lex", "p3", "k4"),
-    ("k4lexk4", "lex", "k4", "k4"),
-    ("k5lexp3", "lex", "k5", "p3"),
-    ("k6xk4", "cartesian", "k6", "k4"),
-])
-def test_product_text_matches_pinned_graph(capsys, monkeypatch, name, kind, g, h):
-    """``product`` prints the graph that ``pack --out`` writes beside its record."""
+@pytest.mark.parametrize("row", ROWS, ids=str)
+def test_pinned_command_line(capsys, monkeypatch, tmp_path, row):
+    """Each row of tests/golden/commands.txt, through main in this process."""
     monkeypatch.chdir(GOLDEN)
-    code, out, _ = run(capsys, "product", kind, f"{g}.graph", f"{h}.graph")
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.pack.json.graph").read_bytes()
-
-
-@pytest.mark.parametrize("name, argv", [
-    ("k4xc6", ["cartesian", "k4.graph", "c6.graph",
-               "--factor-packing", "k4.factor.json",
-               "--factor-packing", "c6.factor.json"]),
-    ("p3lexk4", ["lex", "p3.graph", "k4.graph",
-                 "--factor-packing", "p3.factor.json",
-                 "--factor-packing", "k4.factor.json"]),
-    # balanced lex regime: every parallel subgraph meets one fiber copy
-    ("k4lexk4", ["lex", "k4.graph", "k4.graph",
-                 "--factor-packing", "k4.factor.json",
-                 "--factor-packing", "k4.factor.json"]),
-    # G-rich lex regime: a tree closed by a bundle's Hamiltonian cycles
-    ("k5lexp3", ["lex", "k5.graph", "p3.graph",
-                 "--factor-packing", "k5.factor.json",
-                 "--factor-packing", "p3.factor.json"]),
-    # k=3, l=2: a second-factor tree joined by leftover rungs
-    ("k6xk4", ["cartesian", "k6.graph", "k4.graph",
-               "--factor-packing", "k6.factor.json",
-               "--factor-packing", "k4.factor.json"]),
-])
-def test_pack_and_verify_match_pinned_output(capsys, monkeypatch, tmp_path,
-                                             name, argv):
-    monkeypatch.chdir(GOLDEN)
-    out = tmp_path / f"{name}.pack.json"
-    code, stdout, _ = run(capsys, "pack", *argv, "--out", str(out))
-    assert code == 0 and stdout == ""
-    for suffix in ("", ".graph"):
-        pinned = GOLDEN / f"{name}.pack.json{suffix}"
-        assert Path(f"{out}{suffix}").read_bytes() == pinned.read_bytes()
-    code, stdout, _ = run(capsys, "verify", f"{name}.pack.json.graph",
-                          f"{name}.pack.json", "--format", "json")
-    assert code == 0
-    assert stdout == (GOLDEN / f"{name}.verify.json").read_text()
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_table_matches_pinned_output(capsys, fmt, suffix):
-    code, out, _ = run(capsys, "table", "--format", fmt)
-    assert code == 0
-    assert out == (GOLDEN / f"table.{suffix}").read_text()
+    try:
+        code = main(row.argv_in(tmp_path))
+    except SystemExit as exc:   # argparse's help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    row.check(tmp_path, code, out.encode(), err.encode())
 
 
 def test_oversized_product_is_usage_error(capsys, tmp_path):
@@ -619,14 +553,11 @@ def test_plain_parse_is_argparse_or_declines(argv):
     ["oracle", "k4.txt"],
     ["table", "--strict"],
     ["table"],
-    # perfbench workloads and the CI's console-script step
+    # perfbench's pack-oracle op, and --out on product
     ["pack", "cartesian", "g.txt", "h.txt", "--format", "json"],
-    ["pack", "lex", "g.txt", "h.txt", "--factor-packing", "pg.json",
-     "--factor-packing", "ph.json", "--out", "out.json"],
-    ["verify", "out.json.graph", "out.json", "--format", "json"],
-    ["verify", "k1.graph", "k1.two.json"],
-    ["oracle", "g.txt", "--format", "json"],
     ["product", "cartesian", "g.txt", "h.txt", "--out", "p.txt"],
+    # every pinned command line but help and usage errors
+    *(list(row.argv) for row in ROWS if row.code != 2 and "--help" not in row.argv),
 ])
 def test_plain_parse_takes_every_documented_command_line(argv):
     plain = _parse_plain(argv)

@@ -4,6 +4,9 @@ The other CLI tests call ``main`` in this process.  These run the entry in a
 child process, as a user does, and check what it adds around ``main``: the
 cyclic collector is off and the start-up heap frozen.  They also check that
 ``-m`` compiles ``cli`` once: no handler imports it as ``treepack.cli``.
+Every pinned command line of ``tests/golden/commands.txt`` runs here through
+the script's target, the one path that imports ``cli`` rather than running
+it as ``__main__``.
 """
 
 import gc
@@ -11,14 +14,15 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import treepack
+from commands import GOLDEN, ROWS
 from treepack.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(treepack.__file__).resolve().parents[1]
 
 # The target of the installed script, as pyproject.toml declares it.
@@ -48,45 +52,43 @@ def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=120)
 
 
-def _cli(*argv: str, cwd: Path = GOLDEN) -> subprocess.CompletedProcess:
-    return _child(["-m", "treepack.cli", *argv], cwd)
+# Every row through the script's target, and the rows of the commands the
+# benchmark runs through `-m` as well.
+CHILD_ROWS = [(entry, row) for row in ROWS for entry in sorted(ENTRIES)
+              if entry == "script" or row.argv[0] in ("pack", "verify", "oracle")]
 
 
-@pytest.mark.parametrize("name, kind, g, h", [
-    ("k4xc6", "cartesian", "k4", "c6"),
-    ("p3lexk4", "lex", "p3", "k4"),
-])
-def test_child_process_outputs_match_goldens(tmp_path, name, kind, g, h):
-    out = tmp_path / f"{name}.pack.json"
-    done = _cli("pack", kind, f"{g}.graph", f"{h}.graph",
-                "--factor-packing", f"{g}.factor.json",
-                "--factor-packing", f"{h}.factor.json", "--out", str(out))
-    assert done.returncode == 0 and done.stdout == b""
-    for suffix in ("", ".graph"):
-        pinned = GOLDEN / f"{name}.pack.json{suffix}"
-        assert Path(f"{out}{suffix}").read_bytes() == pinned.read_bytes()
-    done = _cli("verify", f"{name}.pack.json.graph", f"{name}.pack.json",
-                "--format", "json")
-    assert done.returncode == 0
-    assert done.stdout == (GOLDEN / f"{name}.verify.json").read_bytes()
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """The child of each of CHILD_ROWS, two running at a time: interpreter
+    start-up, not the command, is most of each one's time."""
+    with ThreadPoolExecutor(2) as pool:
+        runs = {}
+        for entry, row in CHILD_ROWS:
+            out = tmp_path_factory.mktemp("out")
+            runs[entry, row] = out, pool.submit(
+                _child, ["-c", ENTRIES[entry], *row.argv_in(out)], GOLDEN)
+        yield runs
 
 
-@pytest.mark.parametrize("name", ["k4xc6", "k6"])
-def test_child_process_oracle_matches_golden(name):
-    done = _cli("oracle", f"{name}.graph", "--format", "json")
-    assert done.returncode == 0
-    assert done.stdout == (GOLDEN / f"{name}.oracle.json").read_bytes()
+@pytest.mark.parametrize("entry, row", CHILD_ROWS,
+                         ids=[f"{row}-{entry}" for entry, row in CHILD_ROWS])
+def test_pinned_command_line(pinned_runs, entry, row):
+    """Each row of tests/golden/commands.txt, in a child process."""
+    out, run = pinned_runs[entry, row]
+    done = run.result()
+    row.check(out, done.returncode, done.stdout, done.stderr)
 
 
+# The malformed case's stderr, and the passing case, are not table rows.
 @pytest.mark.parametrize("packing, code, head", [
     ('{"trees": [[]]}', 0, b"PASS packing of 1 trees"),
-    ('{"trees": [[], []]}', 1, b"FAIL packing of 2 trees"),
     ('{"trees": [[]]', 2, b""),
-], ids=["pass", "fail", "malformed"])
+], ids=["pass", "malformed"])
 def test_child_process_exit_codes(tmp_path, packing, code, head):
     (tmp_path / "k1.graph").write_text("p 1 0\n")
     (tmp_path / "k1.json").write_text(packing)
-    done = _cli("verify", "k1.graph", "k1.json", cwd=tmp_path)
+    done = _child(["-m", "treepack.cli", "verify", "k1.graph", "k1.json"], tmp_path)
     assert done.returncode == code
     assert done.stdout.startswith(head)
     assert done.stderr.startswith(b"error: k1.json: ") is (code == 2)
