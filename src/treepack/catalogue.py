@@ -12,8 +12,8 @@ import sys
 from types import SimpleNamespace
 from typing import Any, NamedTuple
 
-from .core import (Graph, ParameterError, SizeError, _dump, _emit_run_record,
-                   _graph_record, _write_out, check_edge_count, write_graph)
+from .core import (Graph, ParameterError, SizeError, _graph_record, _write_out,
+                   check_edge_count, write_graph)
 
 
 def path(n: int) -> Graph:
@@ -167,7 +167,7 @@ def table_rows() -> list[TableRow]:
     ]
 
 
-def cmd_gen(args: SimpleNamespace) -> int:
+def cmd_gen(args: SimpleNamespace) -> tuple[str | None, Any, dict, None]:
     make, count = FAMILIES[args.family]
     if len(args.params) != count:
         raise ParameterError(
@@ -176,11 +176,8 @@ def cmd_gen(args: SimpleNamespace) -> int:
     text = write_graph(g, [f"family {args.family} {' '.join(map(str, args.params))}"])
     if args.out:
         _write_out(args.out, text)
-    else:
-        sys.stdout.write(text if args.format == "text" else _dump(_graph_record(g)) + "\n")
-    _emit_run_record(args, [args.family] + [str(p) for p in args.params],
-                     {"n": g.n, "m": g.m, "out": args.out}, None)
-    return 0
+    return (None if args.out else text, _graph_record(g),
+            {"n": g.n, "m": g.m, "out": args.out}, None)
 
 
 def _run_table_row(row: TableRow) -> dict[str, Any]:
@@ -223,26 +220,21 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
     }
 
 
-def cmd_table(args: SimpleNamespace) -> int:
+def cmd_table(args: SimpleNamespace) -> tuple[str, Any, dict, bool]:
     rows = [_run_table_row(r) for r in table_rows()]
-    if args.format == "text":
-        header = f"{'graph':<12} {'closed':>6} {'bound':>5} {'sigma':>5} {'verified':>8}  note"
-        lines = [header, "-" * len(header)]
-        for r in rows:
-            closed = "-" if r["closed"] is None else str(r["closed"])
-            bound = "-" if r["bound"] is None else str(r["bound"])
-            ver = "-" if r["verified"] is None else "yes"
-            note = r["note"]
-            if r["failures"]:
-                note += "  !! " + "; ".join(r["failures"])
-            lines.append(f"{r['graph']:<12} {closed:>6} {bound:>5} "
-                         f"{r['sigma']:>5} {ver:>8}  {note}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(_dump(rows) + "\n")
+    header = f"{'graph':<12} {'closed':>6} {'bound':>5} {'sigma':>5} {'verified':>8}  note"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        closed = "-" if r["closed"] is None else str(r["closed"])
+        bound = "-" if r["bound"] is None else str(r["bound"])
+        ver = "-" if r["verified"] is None else "yes"
+        note = r["note"]
+        if r["failures"]:
+            note += "  !! " + "; ".join(r["failures"])
+        lines.append(f"{r['graph']:<12} {closed:>6} {bound:>5} "
+                     f"{r['sigma']:>5} {ver:>8}  {note}")
     failed = [r["graph"] for r in rows if r["failures"]]
-    _emit_run_record(args, [], {"rows": len(rows), "failed": failed}, True)
     if args.strict and failed:
         print(f"strict: failing rows: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return ("\n".join(lines) + "\n", rows, {"rows": len(rows), "failed": failed},
+            not (args.strict and failed))

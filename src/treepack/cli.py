@@ -1,11 +1,15 @@
 """Command line interface: generate, compose, pack, verify, tabulate.
 
-This module is the process entry and the grammar only.  Each command's
-handler, ``cmd_<command>``, lives in the module that ``COMMANDS`` names for
-it, beside the code it runs; ``main`` imports that module, so a command
-compiles no other command's code.  argparse loads only for ``--help`` and
-usage errors.  No module imports this one: under ``python -m`` it runs as
-``__main__``, and a second import would compile and run it again.
+This module is the process entry, the grammar and the one exit path.  Each
+command's handler, ``cmd_<command>``, lives in the module that ``COMMANDS``
+names for it, beside the code it runs; ``main`` imports that module, so a
+command compiles no other command's code.  A handler writes its ``--out``
+files and returns ``(text, record, outputs, verified)``: ``main`` prints
+``text``, or ``record`` under ``--format json`` (nothing if ``text`` is None),
+writes the run record to stderr and exits 1 iff ``verified`` is False.
+argparse loads only for ``--help`` and usage errors.  No module imports this
+one: under ``python -m`` it runs as ``__main__``, and a second import would
+compile and run it again.
 """
 
 from __future__ import annotations
@@ -112,16 +116,27 @@ def _value(word: str, kw: dict[str, Any]) -> Any:
 def main(argv: Sequence[str] | None = None) -> int:
     args = (_parse_plain(sys.argv[1:] if argv is None else argv)
             or _build_parser().parse_args(argv, SimpleNamespace()))
-    args.t0 = time.perf_counter()
-    home = import_module(f".{COMMANDS[args.command][0]}", __package__)
+    t0 = time.perf_counter()
+    home, _, arguments = COMMANDS[args.command]
+    handler = getattr(import_module(f".{home}", __package__), f"cmd_{args.command}")
+    import json
     from .core import (ContractError, InputError, ParameterError, ParseError,
-                       SizeError)
+                       SizeError, _dump)
     try:
-        return getattr(home, f"cmd_{args.command}")(args)
+        text, record, outputs, verified = handler(args)
+        if text is not None:
+            sys.stdout.write(text if args.format == "text" else _dump(record) + "\n")
+        inputs = [str(w) for name, kw in arguments if name[0] != "-" for w in
+                  (getattr(args, name) if "nargs" in kw else [getattr(args, name)])]
+        print(json.dumps({"command": args.command, "inputs": inputs,
+                          "outputs": outputs, "verified": verified,
+                          "wall_time_s": round(time.perf_counter() - t0, 3)},
+                         sort_keys=True), file=sys.stderr)
     except (ParameterError, ParseError, InputError, ContractError, SizeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if verified is False else 0
 
 
 def run() -> int:

@@ -6,11 +6,8 @@ sorted order, so every downstream "pick the first" tie-break is deterministic.
 
 from __future__ import annotations
 
-import sys
-import time
 from collections import deque
 from itertools import chain
-from types import SimpleNamespace
 from typing import Any, Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -215,9 +212,9 @@ def read_graph(text: str) -> Graph:
 
 # ---------------------------------------------------------------------------
 # what every command reads, writes and records; each ``cmd_*`` lives beside
-# the modules it runs.  Stdout carries the requested artifact and is
-# byte-identical across runs of the same command; a one-line run record with
-# wall time goes to stderr.
+# the modules it runs and returns what ``cli.main`` prints.  Stdout carries
+# the requested artifact and is byte-identical across runs of the same
+# command.
 
 def _read_text(path_: str) -> str:
     # newline="": lines end where read_graph ends them, at '\n' only
@@ -238,15 +235,6 @@ def _dump(record: Any) -> str:
     # a record is tuples, lists and dicts built here, never containing itself
     return json.dumps(record, sort_keys=True, separators=(",", ":"),
                       check_circular=False)
-
-
-def _emit_run_record(args: SimpleNamespace, inputs: list[str],
-                     outputs: dict[str, Any], verified: bool | None) -> None:
-    import json
-    record = {"command": args.command, "inputs": inputs, "outputs": outputs,
-              "verified": verified,
-              "wall_time_s": round(time.perf_counter() - args.t0, 3)}
-    print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def _graph_record(g: Graph) -> dict[str, Any]:

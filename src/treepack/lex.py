@@ -81,27 +81,23 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
             edges.extend(product.fiber_copy(pack_h.trees[t], u))
         return tuple(sorted(edges))
 
-    reserved = (k - 1, n2)   # the identity matching of the last G-tree
+    # the identity matching of the last G-tree, held back unless balanced
+    reserved = None if plan.case == BALANCED else (k - 1, n2)
     # (min, max) copies of checked factor trees: verified_packing below is
     # their only check
     trees: list[tuple[Edge, ...]] = []
 
-    if plan.case == BALANCED:
-        subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)]
-        fibers = [(t, s) for t in range(ell) for s in range(n1)]
-        for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(tuple(sorted(product.matching_copy(oriented[i], j)
-                                      + product.fiber_copy(pack_h.trees[t], s))))
-
-    elif plan.case == H_RICH:
+    if plan.case != G_RICH:
+        # balanced pairs like H_RICH with x = ell: no section trees are left
+        x = ell if plan.case == BALANCED else plan.x
         subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)
                 if (i, j) != reserved]
-        fibers = [(t, s) for t in range(plan.x) for s in range(n1)]
+        fibers = [(t, s) for t in range(x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
             trees.append(tuple(sorted(product.matching_copy(oriented[i], j)
                                       + product.fiber_copy(pack_h.trees[t], s))))
-        for t in range(plan.x, ell):
-            trees.append(section_tree(t, t - plan.x))
+        for t in range(x, ell):
+            trees.append(section_tree(t, t - x))
 
     else:  # G_RICH
         for t in range(ell):

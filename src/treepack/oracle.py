@@ -31,14 +31,12 @@ here.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
-                   _dump, _emit_run_record, _packing_record, _read_text,
-                   _write_out, read_graph)
+                   _dump, _packing_record, _read_text, _write_out, read_graph)
 
 Label = tuple[Edge, int]
 
@@ -265,7 +263,7 @@ def _terminal_certificate(g: Graph, members: list[list[int]], clump: list[int],
     return TutteCertificate(partition, crossing, bound)
 
 
-def cmd_oracle(args: SimpleNamespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> tuple[str, Any, dict, bool]:
     from .verify import verify_packing
     g = read_graph(_read_text(args.file))
     result = max_packing(g)
@@ -279,19 +277,12 @@ def cmd_oracle(args: SimpleNamespace) -> int:
         },
         "packing": _packing_record(args.file, result.packing, verified),
     }
-    if args.out:
+    if args.out:   # the record goes to the file; the summary is still printed
         _write_out(args.out, _dump(record) + "\n")
-    if args.format == "text":
-        cert = result.certificate
-        sys.stdout.write(
-            f"sigma = {result.sigma}\n"
+    cert = result.certificate
+    text = (f"sigma = {result.sigma}\n"
             f"certificate: {len(cert.partition)} blocks, "
             f"{cert.crossing_count} crossing edges, bound {cert.bound}\n"
             f"packing: {len(result.packing.trees)} trees, "
             f"verified={str(verified).lower()}\n")
-    else:
-        sys.stdout.write(_dump(record) + "\n")
-    _emit_run_record(args, [args.file],
-                     {"sigma": result.sigma, "bound": result.certificate.bound},
-                     verified)
-    return 0 if verified else 1
+    return text, record, {"sigma": result.sigma, "bound": cert.bound}, verified

@@ -10,13 +10,12 @@ them.
 from __future__ import annotations
 
 import os
-import sys
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
-from .core import (Edge, Graph, InputError, TreePacking, _dump,
-                   _emit_run_record, _graph_record, _packing_record, _read_text,
-                   _write_out, check_edge_count, read_graph, write_graph)
+from .core import (Edge, Graph, InputError, TreePacking, _dump, _graph_record,
+                   _packing_record, _read_text, _write_out, check_edge_count,
+                   read_graph, write_graph)
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
@@ -98,23 +97,16 @@ def write_product(p: ProductGraph) -> str:
     return write_graph(p.graph, [f"product {p.kind} n1={p.n1} n2={p.n2}"])
 
 
-def cmd_product(args: SimpleNamespace) -> int:
+def cmd_product(args: SimpleNamespace) -> tuple[str | None, Any, dict, None]:
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     p = cartesian(g, h) if args.kind == CARTESIAN else lexicographic(g, h)
     text = write_product(p)
     if args.out:
         _write_out(args.out, text)
-    else:
-        if args.format == "text":
-            sys.stdout.write(text)
-        else:
-            record = {"kind": p.kind, "n1": p.n1, "n2": p.n2}
-            record.update(_graph_record(p.graph))
-            sys.stdout.write(_dump(record) + "\n")
-    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
-                     {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None)
-    return 0
+    record = {"kind": p.kind, "n1": p.n1, "n2": p.n2, **_graph_record(p.graph)}
+    return (None if args.out else text, record,
+            {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None)
 
 
 def _factor_packings(args: SimpleNamespace, g: Graph,
@@ -148,26 +140,18 @@ def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
     return pack_lex(g, h, pg, ph)
 
 
-def cmd_pack(args: SimpleNamespace) -> int:
+def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     pg, ph = _factor_packings(args, g, h)
     packed = _pack(args.kind, g, h, pg, ph)
     count = len(packed.trees)
-    graph_ref = "-"
-    if args.out:
-        graph_ref = os.path.basename(args.out) + ".graph"
-        product = ProductGraph(args.kind, packed.host, g.n, h.n)
-        _write_out(args.out + ".graph", write_product(product))
+    graph_ref = os.path.basename(args.out) + ".graph" if args.out else "-"
     record = _packing_record(graph_ref, packed, True)
     if args.out:
+        product = ProductGraph(args.kind, packed.host, g.n, h.n)
+        _write_out(args.out + ".graph", write_product(product))
         _write_out(args.out, _dump(record) + "\n")
-    else:
-        if args.format == "text":
-            sys.stdout.write(f"packed {args.kind} product: {count} trees "
-                             f"(bound {count}), verified=true\n")
-        else:
-            sys.stdout.write(_dump(record) + "\n")
-    _emit_run_record(args, [args.kind, args.fileG, args.fileH],
-                     {"trees": count, "bound": count, "out": args.out}, True)
-    return 0
+    text = f"packed {args.kind} product: {count} trees (bound {count}), verified=true\n"
+    return (None if args.out else text, record,
+            {"trees": count, "bound": count, "out": args.out}, True)

@@ -8,13 +8,11 @@ and every packing file is read here.
 
 from __future__ import annotations
 
-import sys
 from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .core import (ConstructionError, ContractError, Edge, Graph, ParseError,
-                   TreePacking, _dump, _emit_run_record, _read_text,
-                   read_graph)
+                   TreePacking, _read_text, read_graph)
 
 
 class Check(NamedTuple):
@@ -206,14 +204,9 @@ def _load_packing(path_: str, host: Graph) -> TreePacking:
     return TreePacking(host, tuple(trees), method)
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> tuple[str, Any, dict, bool]:
     g = read_graph(_read_text(args.graphfile))
     packing = _load_packing(args.packingfile, g)
     report = verify_packing(g, packing)
-    if args.format == "text":
-        sys.stdout.write(report.render() + "\n")
-    else:
-        sys.stdout.write(_dump(report.to_record()) + "\n")
-    _emit_run_record(args, [args.graphfile, args.packingfile],
-                     {"trees": len(packing.trees)}, report.overall)
-    return 0 if report.overall else 1
+    return (report.render() + "\n", report.to_record(),
+            {"trees": len(packing.trees)}, report.overall)

@@ -1,8 +1,10 @@
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -422,12 +424,16 @@ def test_table_reports_loose_bounds_without_failing(capsys):
     assert not any("!!" in l for l in lines)
 
 
-def test_table_reports_a_failing_row(capsys, monkeypatch):
-    # every catalogue row passes, so a row with a wrong closed form is the
-    # only way to run the failure branch: K4 packs 2 trees, not 5
+def _one_failing_table_row(monkeypatch):
+    """Every catalogue row passes, so a row with a wrong closed form is the
+    only way to run the failure branch: K4 packs 2 trees, not 5."""
     from treepack import catalogue
     row = catalogue.TableRow("K4", None, catalogue.complete(4), None, 5, None)
     monkeypatch.setattr(catalogue, "table_rows", lambda: [row])
+
+
+def test_table_reports_a_failing_row(capsys, monkeypatch):
+    _one_failing_table_row(monkeypatch)
     code, out, err = run(capsys, "table")
     assert code == 0
     assert "!! oracle 2 != closed form 5" in out
@@ -461,14 +467,76 @@ def test_stdout_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_run_record_on_stderr(capsys, tmp_path):
-    k4 = tmp_path / "k4.txt"
-    run(capsys, "gen", "complete", "4", "--out", str(k4))
-    _, _, err = run(capsys, "pack", "cartesian", str(k4), str(k4))
-    record = json.loads(err.strip().splitlines()[-1])
-    assert record["command"] == "pack"
-    assert record["verified"] is True
-    assert "wall_time_s" in record
+@pytest.mark.parametrize("argv, outputs, verified", [
+    (["gen", "multipartite", "3", "2"], {"n", "m", "out"}, None),
+    (["product", "lex", "p3.graph", "k4.graph"], {"n", "m", "out"}, None),
+    (["pack", "cartesian", "k4.graph", "c6.graph"], {"trees", "bound", "out"}, True),
+    (["oracle", "k6.graph"], {"sigma", "bound"}, True),
+    (["table"], {"rows", "failed"}, True),
+    (["table", "--strict"], {"rows", "failed"}, False),
+    (["verify", "k4xc6.pack.json.graph", "k4xc6.pack.json"], {"trees"}, True),
+    (["verify", "k1.graph", "k1.two.json"], {"trees"}, False),
+], ids=["gen", "product", "pack", "oracle", "table", "table-strict-failing",
+        "verify-pass", "verify-fail"])
+def test_run_record_on_stderr(capsys, monkeypatch, argv, outputs, verified):
+    """Every command ends in one run record on stderr, and exits 1 exactly
+    when the record says it failed verification."""
+    monkeypatch.chdir(GOLDEN)
+    if "--strict" in argv:
+        _one_failing_table_row(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    record = json.loads(err.splitlines()[-1])
+    assert sorted(record) == ["command", "inputs", "outputs", "verified",
+                              "wall_time_s"]
+    assert record["command"] == argv[0]
+    assert record["inputs"] == list(takewhile(lambda w: w[:2] != "--", argv[1:]))
+    assert set(record["outputs"]) == outputs
+    assert record["verified"] is verified
+    assert code == (1 if verified is False else 0)
+    if "--strict" in argv:   # the strict line comes before the record
+        assert err.splitlines()[0] == "strict: failing rows: K4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "3"],
+    ["product", "lex", "p3.graph", "k4.graph"],
+], ids=["gen", "product"])
+def test_out_takes_the_edge_list_whatever_the_format(capsys, monkeypatch,
+                                                    tmp_path, argv):
+    monkeypatch.chdir(GOLDEN)
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == printed and printed.startswith("#")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_out_writes_the_record_and_still_prints(capsys, monkeypatch,
+                                                       tmp_path, fmt):
+    monkeypatch.chdir(GOLDEN)
+    _, printed, _ = run(capsys, "oracle", "k6.graph", "--format", fmt)
+    target = tmp_path / "k6.oracle.json"
+    code, out, _ = run(capsys, "oracle", "k6.graph", "--format", fmt,
+                       "--out", str(target))
+    assert code == 0 and out == printed
+    assert target.read_bytes() == (GOLDEN / "k6.oracle.json").read_bytes()
+    if fmt == "text":
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "sigma", "certificate:", "packing:"]
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_failed_stdout_write_is_a_usage_style_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(["gen", "path", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_usage_error_exit_code():

@@ -4,6 +4,7 @@ Every case runs in a fresh interpreter, because the test process has
 already imported the whole package.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -88,8 +89,8 @@ def test_command_loads_only_the_modules_it_runs(files, argv, loaded):
 
 
 def test_each_handler_lives_in_the_module_commands_names():
-    """``cli`` is the entry and the grammar: a command compiles its handler's
-    module, not every handler."""
+    """``cli`` is the entry, the grammar and the one exit path: a command
+    compiles its handler's module, not every handler."""
     assert [name for name in vars(cli) if name.startswith("cmd_")] == []
     for command, (home, _, _) in COMMANDS.items():
         module = importlib.import_module(f"treepack.{home}")
@@ -128,3 +129,18 @@ assert via_import is before and after is before and treepack.cartesian is before
 print("ok")
 """, cwd=files)
     assert out.splitlines()[-1] == "ok"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An unused import still costs its compile and load in every command."""
+    unused = []
+    for path in sorted((SRC / "treepack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
