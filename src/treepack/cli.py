@@ -14,12 +14,14 @@ compile and run it again.
 
 from __future__ import annotations
 
+import atexit
 import gc
+import os
 import sys
 import time
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 if TYPE_CHECKING:
     import argparse
@@ -126,6 +128,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         text, record, outputs, verified = handler(args)
         if text is not None:
             sys.stdout.write(text if args.format == "text" else _dump(record) + "\n")
+            sys.stdout.flush()   # a buffered write fails here, not at exit
         inputs = [str(w) for name, kw in arguments if name[0] != "-" for w in
                   (getattr(args, name) if "nargs" in kw else [getattr(args, name)])]
         print(json.dumps({"command": args.command, "inputs": inputs,
@@ -139,18 +142,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if verified is False else 0
 
 
-def run() -> int:
+def run() -> NoReturn:
     """Process entry of ``python -m treepack.cli`` and the ``treepack`` script.
 
     A command leaves no cyclic garbage worth collecting (its graphs, trees and
-    records are acyclic), so the cyclic collector is switched off and the
-    start-up heap frozen out of its final passes.  ``main`` leaves GC state
-    alone, for callers that run it inside their own process.
+    records are acyclic), so the cyclic collector is switched off, the start-up
+    heap frozen, and the process ends without interpreter finalisation.
+    ``main`` leaves GC state alone, for callers that run it in their process.
     """
     gc.disable()
     gc.freeze()
-    return main()
+    try:
+        code = main()
+    except SystemExit as exc:   # argparse's --help and usage errors
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:   # main flushed its output: this is argparse's
+        code = code or 2
+    os._exit(code or 0)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
+from operator import lt
 from typing import Any, Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -141,19 +142,50 @@ def write_graph(g: Graph, header_comments: Sequence[str] = ()) -> str:
     return f"{head}p {g.n} {g.m}\n{body}"
 
 
-def _ascii_decimal(text: str) -> bool:
-    """False if text holds a '+', '_' or non-ASCII digit that int() would take."""
-    return text.isascii() and "_" not in text and "+" not in text
+def _ascii_ints(raw: str, words: list[str]) -> tuple[int, int]:
+    """words[1:3] as numbers if their line has no '+', '_' or non-ASCII."""
+    if not raw.isascii() or "_" in raw or "+" in raw:
+        raise ValueError(raw)
+    return int(words[1]), int(words[2])
 
 
 def read_graph(text: str) -> Graph:
+    """Parse edge-list text; the line reader, the reference, names a bad line."""
+    return _read_written(text) or _read_lines(text)
+
+
+def _read_written(text: str) -> Graph | None:
+    """The graph of a text in write_graph's layout, else None: '#' lines,
+    'p n m' (n <= m + 1), m ascending ASCII 'e a b' lines with 'e' in column 0.
+    No number starts with 'e', so m such lines over m triples hold one each."""
+    start = 0
+    try:
+        while text.startswith("#", start):
+            start = text.index("\n", start) + 1
+        end = text.index("\n", start) + 1
+        n, m = map(int, text[start + 1:end].split())
+        body = text[end:]
+        tokens = body.split()
+        if (text[start:end] != f"p {n} {m}\n" or not 0 <= n <= m + 1 <= MAX_EDGES + 1
+                or not (text.endswith("\n") and body.isascii())
+                or len(tokens) != 3 * m or tokens[::3].count("e") != m
+                or not body.count("\n") == m == body.count("\ne") + body.startswith("e")):
+            return None
+        vertex = {str(v): v for v in range(n)}   # the endpoints str() writes
+        a = list(map(vertex.__getitem__, tokens[1::3]))
+        b = list(map(vertex.__getitem__, tokens[2::3]))
+    except (KeyError, ValueError):
+        return None
+    edges = list(zip(a, b))
+    ascending = all(map(lt, a, b)) and all(map(lt, edges, edges[1:]))
+    return Graph(n, tuple(edges)) if ascending else None
+
+
+def _read_lines(text: str) -> Graph:
     """Parse edge-list text; each line is checked once, as it is read."""
     n = None
     m = None
-    edges: list[Edge] = []
     seen: set[Edge] = set()
-    # only a text that holds a suspect character has its lines checked
-    suspect = not _ascii_decimal(text)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -164,14 +196,11 @@ def read_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'e <a> <b>'")
             try:
-                if suspect and not _ascii_decimal(raw):
-                    raise ValueError
-                e = a, b = int(parts[1]), int(parts[2])
+                e = a, b = _ascii_ints(raw, parts)
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer endpoint") from None
             if 0 <= a < b < n and e not in seen:
                 seen.add(e)
-                edges.append(e)
                 continue
             if a == b:
                 problem = f"self-loop 'e {a} {b}' not allowed"
@@ -188,9 +217,7 @@ def read_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                if suspect and not _ascii_decimal(raw):
-                    raise ValueError
-                n, m = int(parts[1]), int(parts[2])
+                n, m = _ascii_ints(raw, parts)
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer in 'p' line") from None
             if n < 0 or m < 0:
@@ -205,9 +232,9 @@ def read_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise ParseError("missing 'p <n> <m>' line")
-    if len(edges) != m:
-        raise ParseError(f"'p' line promises {m} edges, found {len(edges)}")
-    return Graph(n, tuple(sorted(edges)))
+    if len(seen) != m:
+        raise ParseError(f"'p' line promises {m} edges, found {len(seen)}")
+    return Graph(n, tuple(sorted(seen)))
 
 
 # ---------------------------------------------------------------------------

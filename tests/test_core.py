@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treepack
@@ -13,7 +13,7 @@ from treepack.catalogue import (FAMILIES, complete, complete_minus_edge,
 from treepack.cli import main
 from treepack.core import (MAX_EDGES, Graph, ParameterError, ParseError,
                            SizeError, normalize_edge, read_graph, write_graph,
-                           ContractError, TreePacking)
+                           ContractError, TreePacking, _read_lines, _read_written)
 from treepack.verify import Check, VerificationReport, check_packing
 
 from reference import components
@@ -168,9 +168,30 @@ def test_edge_list_round_trip():
     for g in (path(4), cycle(5), complete(4), hypercube(3)):
         text = write_graph(g, ["round trip"])
         back = read_graph(text)
+        # the whole-text reader takes every text write_graph writes
+        assert _read_written(text) == back
+        assert _read_written(write_graph(g, ["family complete-minus-edge 5",
+                                             "k_2 + 1"])) == back
         assert back.n == g.n and back.edges == g.edges
         assert back == g and hash(back) == hash(g)
         assert back != Graph(g.n, g.edges[:-1])
+
+
+def _read_both(text: str) -> Graph:
+    """read_graph(text), checked against the line reader, the reference: the
+    whole-text reader declines or returns the line reader's graph, and
+    read_graph raises the line reader's exact message."""
+    try:
+        expected = _read_lines(text)
+    except ParseError as exc:
+        assert _read_written(text) is None
+        with pytest.raises(ParseError) as got:
+            read_graph(text)
+        assert str(got.value) == str(exc)
+        raise
+    assert _read_written(text) in (None, expected)
+    assert read_graph(text) == expected
+    return expected
 
 
 def test_read_graph_errors_carry_line_numbers():
@@ -200,41 +221,66 @@ def test_read_graph_errors_carry_line_numbers():
     ]
     for text, needle in cases:
         with pytest.raises(ParseError) as exc:
-            read_graph(text)
+            _read_both(text)
         assert needle in str(exc.value)
 
 
-_TOKENS = ["p", "e", "#", "0", "1", "3", "-1", "-2", "4", "99", "x", "1.5",
-           "\u0663", "", "e 0 2", "p 4 3", "\n"]
+_TOKENS = ["p", "e", "#", "0", "1", "3", "03", "-1", "-2", "4", "99", "x",
+           "1.5", "\u0663", "", "e 0 2", "p 4 3", "\n", "\r", "\x85", "#-"]
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),
-                          st.sampled_from(_TOKENS)), max_size=6))
-def test_read_graph_fuzz_raises_only_parse_error(edits):
-    """Mutated edge-list text either parses to a valid graph or raises ParseError.
-
-    Each edit puts a token in place of token j of line i (appends past the
-    end; the empty token deletes).
-    """
+@st.composite
+def _edited_texts(draw):
+    """write_graph's text of C4 with up to six edits, each putting a token in
+    place of token j of line i (appends past the end; the empty token
+    deletes), and the line ends '\n', '\r\n' or ' \n', the last one
+    possibly missing."""
     lines = [line.split() for line in
              write_graph(cycle(4), ["fuzz"]).splitlines()]
+    edits = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),
+                                    st.sampled_from(_TOKENS)), max_size=6))
     for i, j, token in edits:
         words = lines[i % len(lines)]
         words[j:j + 1] = [token] if token else []
-    text = "\n".join(" ".join(words) for words in lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", " \n"]))
+    text = end.join(" ".join(words) for words in lines) + end
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_texts())
+# the traps for a whole-text reader of write_graph's layout
+@example("p 3 2\ne 0\n 1 e 1 2\n")     # a 2-token line, then a 4-token one
+@example("p 3 1\n e 0 1\n")            # 'e' after leading whitespace
+@example("# family complete-minus-edge 5\np 2 1\ne 0 1\n")
+@example("p 03 1\ne 0 1\n")
+@example("p 3 1\ne 0 01\n")
+@example("p 2 1\r\ne 0 1\r\n")
+@example("p 2 1\ne 0 1")                # no final newline
+@example("p 1 0\n")                     # m = 0
+@example("p 0 0\n")
+@example("p -1 0\n")
+@example("p 4 2\ne 2 3\ne 0 1\n")      # unsorted
+@example("p 4 2\ne 0 1\ne 0 1\n")      # duplicate
+@example("p 4 3\ne 2 3\ne 0 1\ne 2 3\n")
+@example("p 3 1\ne 0\x851\n")          # non-ASCII whitespace
+@example("p 3 1\ne 0\n1\n")
+@example("p 3 2\ne 0 1\n\ne 1 2\n")   # a blank line between edges
+def test_read_graph_fuzz_raises_only_parse_error(text):
+    """Mutated edge-list text either parses to a valid graph or raises
+    ParseError, and both readers agree on it."""
     try:
-        g = read_graph(text)
+        g = _read_both(text)
     except ParseError:
         return
     assert Graph.from_edges(g.n, g.edges) == g
 
 
 def test_read_graph_skips_comments_and_blanks():
-    g = read_graph("# hello\n\np 2 1\n# mid\ne 0 1\n")
+    g = _read_both("# hello\n\np 2 1\n# mid\ne 0 1\n")
     assert g.n == 2 and g.edges == ((0, 1),)
     # a comment may hold any character; leading zeros are still decimal
-    g = read_graph("# caf\u00e9 + tea_time\np 03 1\ne 00 2\n")
+    g = _read_both("# caf\u00e9 + tea_time\np 03 1\ne 00 2\n")
     assert g.n == 3 and g.edges == ((0, 2),)
     # other line breaks are whitespace inside a line, so a comment keeps its
     # tail; '\r\n' files read as '\n' ones
@@ -242,7 +288,7 @@ def test_read_graph_skips_comments_and_blanks():
                  "p 2 1\ne 0 1\n# a\x1cb\n",
                  "# \x85 \u2028 \u2029\np 2 1\ne 0 1\n",
                  "p 2 1\r\ne 0 1\r\n"):
-        assert read_graph(text) == path(2), repr(text)
+        assert _read_both(text) == path(2), repr(text)
 
 
 def test_check_packing_contract_errors():

@@ -2,8 +2,10 @@
 
 The other CLI tests call ``main`` in this process.  These run the entry in a
 child process, as a user does, and check what it adds around ``main``: the
-cyclic collector is off and the start-up heap frozen.  They also check that
-``-m`` compiles ``cli`` once: no handler imports it as ``treepack.cli``.
+cyclic collector is off, the start-up heap frozen, and output is flushed and
+``atexit`` handlers run before the process ends without finalisation.  They
+also check that ``-m`` compiles ``cli`` once: no handler imports it as
+``treepack.cli``.
 Every pinned command line of ``tests/golden/commands.txt`` runs here through
 the script's target, the one path that imports ``cli`` rather than running
 it as ``__main__``.
@@ -46,14 +48,25 @@ ENTRIES = {
 }
 
 
-def _child(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+def _env(buffered: bool = False) -> dict[str, str]:
+    """The test's environment for a child; ``buffered`` drops PYTHONUNBUFFERED,
+    so stdout is block-buffered when it is not a terminal, as by default."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _child(argv: list[str], cwd: Path, buffered: bool = False
+           ) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=_env(buffered),
                           capture_output=True, timeout=120)
 
 
 # Every row through the script's target, and the rows of the commands the
-# benchmark runs through `-m` as well.
+# benchmark runs through `-m` as well.  The `-m` rows run with stdout
+# buffered, as the benchmark's children may: the process must flush before
+# it ends.
 CHILD_ROWS = [(entry, row) for row in ROWS for entry in sorted(ENTRIES)
               if entry == "script" or row.argv[0] in ("pack", "verify", "oracle")]
 
@@ -67,7 +80,8 @@ def pinned_runs(tmp_path_factory):
         for entry, row in CHILD_ROWS:
             out = tmp_path_factory.mktemp("out")
             runs[entry, row] = out, pool.submit(
-                _child, ["-c", ENTRIES[entry], *row.argv_in(out)], GOLDEN)
+                _child, ["-c", ENTRIES[entry], *row.argv_in(out)], GOLDEN,
+                entry == "module")
         yield runs
 
 
@@ -92,6 +106,25 @@ def test_child_process_exit_codes(tmp_path, packing, code, head):
     assert done.returncode == code
     assert done.stdout.startswith(head)
     assert done.stderr.startswith(b"error: k1.json: ") is (code == 2)
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["gen", "complete", "5"], b"error: [Errno 32] Broken pipe\n"),
+    (["--help"], b""),
+], ids=["command", "help"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, argv, stderr):
+    """A buffered write to a closed pipe fails only when the buffer flushes:
+    ``main`` flushes where it reports errors, and the entry ends nonzero, not
+    with a traceback, when only --help output is left to flush."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "treepack.cli", *argv],
+                              cwd=tmp_path, env=_env(buffered=True), stdout=write,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, stderr)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
