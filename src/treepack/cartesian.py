@@ -9,10 +9,50 @@ completed with the copies and cross edges the backbone leaves unused.
 
 from __future__ import annotations
 
-from .core import Edge, Graph, InputError, TreePacking
-from .decomp import leaf_split, root_tree
+from typing import NamedTuple
+
+from .core import Edge, Graph, InputError, TreePacking, normalize_edge, root_tree
 from .products import cartesian
 from .verify import check_packing, verified_packing
+
+
+class LeafSplit(NamedTuple):
+    """A spanning tree cut into a kept subtree and the deleted leaf forest.
+
+    ``subtree_vertices`` has ceil(n/2) members.  Each forest component
+    touches the subtree in exactly one vertex, its attachment root.
+    """
+
+    subtree: tuple[Edge, ...]
+    subtree_vertices: frozenset[int]
+    forest: tuple[Edge, ...]
+
+
+def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
+    """Delete leaves of a spanning tree of 0..n-1 until ceil(n/2) vertices
+    remain.
+
+    Deterministic: each step removes the current leaf with the smallest
+    vertex index.
+    """
+    target = (n + 1) // 2
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a, b in tree:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(range(n))
+    deleted: list[Edge] = []
+    # the loop runs while a tree of >= 2 vertices is alive, so each of its
+    # leaves has exactly one alive neighbor
+    while len(alive) > target:
+        leaf = min(v for v in alive if len(adj[v]) == 1)
+        (anchor,) = adj[leaf]
+        deleted.append(normalize_edge(leaf, anchor))
+        adj[anchor].discard(leaf)
+        alive.remove(leaf)
+    gone = set(deleted)
+    subtree = tuple(e for e in tree if e not in gone)
+    return LeafSplit(subtree, frozenset(alive), tuple(sorted(deleted)))
 
 
 def cartesian_bound(k: int, ell: int) -> int:
@@ -76,8 +116,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     for i in range(k - 1):
         edges = product.fiber_copy(split.subtree, free_subtree[i])
         edges.extend(product.fiber_copy(split.forest, free_forest[i]))
-        for v in range(n2):
-            edges.extend(product.cross_section_copy(pack_g.trees[i], v))
+        edges.extend(product.matching_copy(pack_g.trees[i], n2))   # every cross section
         trees.append(tuple(sorted(edges)))
     for j in range(ell - 1):
         edges = [rungs[j] for rungs in leftover]

@@ -75,6 +75,13 @@ def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
+def root_tree(n: int, tree: tuple[Edge, ...]) -> tuple[Edge, ...]:
+    """A spanning tree of the vertices 0..n-1 rooted at vertex 0: its edges
+    as (parent, child), in breadth-first order of the child."""
+    parent, order = bfs_tree(n, tree)
+    return tuple((parent[v], v) for v in order[1:])
+
+
 class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..n-1.
 

@@ -10,10 +10,10 @@ unbalanced regimes consume.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .core import Edge, Graph, InputError, TreePacking
-from .decomp import extract_spanning_tree, root_tree
+from .core import (Edge, Graph, InputError, TreePacking, bfs_tree,
+                   normalize_edge, root_tree)
 from .products import lexicographic
 from .verify import check_packing, verified_packing
 
@@ -50,6 +50,17 @@ def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
         return LexPlan(H_RICH, x, k * n2 - x + ell - 1)
     x = _ceil_div(k * n2 - 1, n1 + 1)
     return LexPlan(G_RICH, x, k * n2 - 2 * x + ell - 1)
+
+
+def extract_spanning_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Breadth-first spanning tree of a connected subgraph on 0..n-1.
+
+    Deterministic: search starts at vertex 0 and scans neighbors in ascending
+    order, so the same edges in any order always yield the same tree.  A
+    disconnected subgraph yields the tree of vertex 0's component only.
+    """
+    parent, order = bfs_tree(n, edges)
+    return tuple(sorted(normalize_edge(parent[w], w) for w in order[1:]))
 
 
 def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,

@@ -57,15 +57,23 @@ class ProductGraph(NamedTuple):
         return out
 
 
-def _build(kind: str, g: Graph, h: Graph, matchings: range) -> ProductGraph:
-    """Every fiber copy of h plus the given bundle matchings over every g-edge.
+def _matchings(kind: str, g: Graph, h: Graph) -> range:
+    """The kind's bundle matchings over each g-edge, the identity n2 alone or
+    all of K_{n2,n2}; SizeError first if the product's n1*m2 + m1*n2*len(matchings)
+    edges are more than MAX_EDGES."""
+    matchings = range(h.n, h.n + 1) if kind == CARTESIAN else range(1, h.n + 1)
+    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
+    return matchings
 
-    Empty, too large or disconnected factors are rejected before any
-    building; the edge count is n1*m2 + m1*n2*len(matchings).
+
+def _build(kind: str, g: Graph, h: Graph) -> ProductGraph:
+    """Every fiber copy of h plus the kind's bundle matchings over every g-edge.
+
+    Empty, too large or disconnected factors are rejected before any building.
     """
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
-    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
+    matchings = _matchings(kind, g, h)
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():
@@ -84,12 +92,12 @@ def _build(kind: str, g: Graph, h: Graph, matchings: range) -> ProductGraph:
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product: (u,v)~(u',v') iff u=u' and v~v', or v=v' and u~u'."""
-    return _build(CARTESIAN, g, h, range(h.n, h.n + 1))   # the identity, n2
+    return _build(CARTESIAN, g, h)
 
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
     """Lexicographic product: (u,v)~(u',v') iff u~u', or u=u' and v~v'."""
-    return _build(LEXICOGRAPHIC, g, h, range(1, h.n + 1))   # K_{n2,n2}
+    return _build(LEXICOGRAPHIC, g, h)
 
 
 def write_product(p: ProductGraph) -> str:
@@ -110,24 +118,18 @@ def cmd_product(args: SimpleNamespace) -> tuple[str | None, Any, dict, None]:
 
 
 def _factor_packings(args: SimpleNamespace, g: Graph,
-                     h: Graph) -> tuple[TreePacking, TreePacking]:
+                     h: Graph) -> list[TreePacking]:
+    """The packing files given for G, then H; for a factor without one, the
+    oracle's packing, or the single empty tree of a one-vertex graph."""
     from .verify import _load_packing
     overrides = args.factor_packing or []
     if len(overrides) > 2:
         raise InputError("--factor-packing may be given at most twice (G then H)")
-    pg = (_load_packing(overrides[0], g)
-          if len(overrides) >= 1 else _oracle_packing(g))
-    ph = (_load_packing(overrides[1], h)
-          if len(overrides) >= 2 else _oracle_packing(h))
-    return pg, ph
-
-
-def _oracle_packing(g: Graph) -> TreePacking:
-    """The oracle's packing, or the single empty tree of a one-vertex graph."""
-    from .oracle import max_packing
-    if g.n == 1:
-        return TreePacking(g, ((),))
-    return max_packing(g).packing
+    packings = [_load_packing(path_, f) for path_, f in zip(overrides, (g, h))]
+    for f in (g, h)[len(packings):]:
+        from .oracle import max_packing
+        packings.append(TreePacking(f, ((),)) if f.n == 1 else max_packing(f).packing)
+    return packings
 
 
 def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
@@ -143,6 +145,7 @@ def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
 def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
+    _matchings(args.kind, g, h)   # refuse an oversized product before any oracle runs
     pg, ph = _factor_packings(args, g, h)
     packed = _pack(args.kind, g, h, pg, ph)
     count = len(packed.trees)

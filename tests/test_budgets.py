@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepack.cartesian import pack_cartesian
+from treepack.cartesian import leaf_split, pack_cartesian
 from treepack.catalogue import complete
-from treepack.core import Graph
-from treepack.decomp import leaf_split, root_tree
+from treepack.core import Graph, root_tree
 from treepack.lex import (BALANCED, G_RICH, H_RICH, LexPlan, lex_plan,
                           pack_lex)
 from treepack.oracle import max_packing

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from treepack.cartesian import cartesian_bound, pack_cartesian
+from treepack.cartesian import cartesian_bound, leaf_split, pack_cartesian
 from treepack.catalogue import (complete, complete_multipartite, cycle,
                                 hypercube, path)
-from treepack.core import ContractError, Graph, InputError, TreePacking
-from treepack.decomp import leaf_split, root_tree
+from treepack.core import (ContractError, Graph, InputError, TreePacking,
+                           root_tree)
 from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import verify_packing

@@ -75,6 +75,10 @@ def test_product_with_empty_factor_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "product", "cartesian", str(empty), str(p3))
     assert code == 2 and out == ""
     assert "both factors must be non-empty" in err
+    # pack asks the oracle for the empty factor's packing first
+    code, out, err = run(capsys, "pack", "cartesian", str(empty), str(p3))
+    assert code == 2 and out == ""
+    assert "error: packing number needs n >= 2, got n=0" in err
 
 
 def test_product_out_writes_the_graph_and_no_stdout(capsys, tmp_path):
@@ -366,15 +370,22 @@ def test_pinned_command_line(capsys, monkeypatch, tmp_path, row):
     row.check(tmp_path, code, out.encode(), err.encode())
 
 
-def test_oversized_product_is_usage_error(capsys, tmp_path):
+def test_oversized_product_is_usage_error(capsys, tmp_path, monkeypatch):
     k2 = tmp_path / "k2.txt"
     p3000 = tmp_path / "p3000.txt"
     run(capsys, "gen", "complete", "2", "--out", str(k2))
     run(capsys, "gen", "path", "3000", "--out", str(p3000))
+    import treepack.oracle
+    oracle_calls = []
+    real = treepack.oracle.max_packing
+    monkeypatch.setattr(treepack.oracle, "max_packing",
+                        lambda g: oracle_calls.append(g) or real(g))
     for command in ("product", "pack"):
         code, out, err = run(capsys, command, "lex", str(k2), str(p3000))
         assert code == 2 and out == ""
         assert "error: product would have 9005998 edges" in err
+    # pack refuses the product before it runs the oracle on either factor
+    assert oracle_calls == []
 
 
 def test_huge_vertex_count_is_usage_error(capsys, tmp_path):

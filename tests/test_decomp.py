@@ -3,10 +3,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepack.cartesian import leaf_split
 from treepack.catalogue import complete, cycle, path
-from treepack.core import Graph
-from treepack.decomp import extract_spanning_tree, leaf_split, root_tree
-from treepack.products import lexicographic
+from treepack.core import Graph, root_tree
+from treepack.lex import extract_spanning_tree
+from treepack.products import cartesian, lexicographic
 
 from reference import as_tree, components, is_one_cycle
 
@@ -137,6 +138,15 @@ def test_identity_matching_is_cross_section():
             == p.cross_section_copy([(0, 1)], 0)
             + p.cross_section_copy([(0, 1)], 1)
             + p.cross_section_copy([(0, 1)], 2))
+    # over a relabelled (min, max) spanning tree, the identity matching is
+    # every cross-section copy, as pack_cartesian takes them
+    rng = random.Random(5)
+    n1, n2 = 9, 4
+    label = rng.sample(range(n1), n1)
+    tree = as_tree((label[rng.randrange(v)], label[v]) for v in range(1, n1))
+    p = cartesian(path(n1), path(n2))
+    assert sorted(p.matching_copy(tree, n2)) == sorted(
+        e for v in range(n2) for e in p.cross_section_copy(tree, v))
 
 
 def test_perfect_cycles_cover_even_bundle():

@@ -62,7 +62,7 @@ def files(tmp_path_factory):
 
 
 GIVEN = ["--factor-packing", "k4.pack", "--factor-packing", "c4.pack"]
-CONSTRUCTION = ["core", "decomp", "products", "verify"]
+CONSTRUCTION = ["core", "products", "verify"]
 CASES = [
     (["--help"], []),
     (["gen", "cycle", "5"], ["catalogue", "core"]),
