@@ -75,6 +75,14 @@ def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
+def _find(parent: Any, v: int) -> int:
+    """v's union-find root, halving the path: writes only to non-roots."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def root_tree(n: int, tree: tuple[Edge, ...]) -> tuple[Edge, ...]:
     """A spanning tree of the vertices 0..n-1 rooted at vertex 0: its edges
     as (parent, child), in breadth-first order of the child."""
@@ -273,15 +281,3 @@ def _dump(record: Any) -> str:
 
 def _graph_record(g: Graph) -> dict[str, Any]:
     return {"n": g.n, "m": g.m, "edges": g.edges}
-
-
-def _packing_record(graph_ref: str, packing: TreePacking,
-                    verified: bool) -> dict[str, Any]:
-    """A packing file; its bound is its tree count (sigma for the oracle)."""
-    return {
-        "graph": graph_ref,
-        "method": packing.method,
-        "bound": len(packing.trees),
-        "trees": packing.trees,
-        "verified": verified,
-    }

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
-                   _dump, _packing_record, _read_text, _write_out, read_graph)
+                   _dump, _find, _read_text, _write_out, read_graph)
 
 Label = tuple[Edge, int]
 
@@ -57,13 +57,6 @@ class OracleResult(NamedTuple):
     sigma: int
     packing: TreePacking
     certificate: TutteCertificate
-
-
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
 
 
 class _ForestFamily:
@@ -264,7 +257,7 @@ def _terminal_certificate(g: Graph, members: list[list[int]], clump: list[int],
 
 
 def cmd_oracle(args: SimpleNamespace) -> tuple[str, Any, dict, bool]:
-    from .verify import verify_packing
+    from .verify import _packing_record, verify_packing
     g = read_graph(_read_text(args.file))
     result = max_packing(g)
     verified = verify_packing(g, result.packing).overall

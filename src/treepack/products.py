@@ -14,8 +14,8 @@ from types import SimpleNamespace
 from typing import Any, Iterable, NamedTuple
 
 from .core import (Edge, Graph, InputError, TreePacking, _dump, _graph_record,
-                   _packing_record, _read_text, _write_out, check_edge_count,
-                   read_graph, write_graph)
+                   _read_text, _write_out, check_edge_count, read_graph,
+                   write_graph)
 
 CARTESIAN = "cartesian"
 LEXICOGRAPHIC = "lex"
@@ -59,25 +59,24 @@ class ProductGraph(NamedTuple):
 
 def _matchings(kind: str, g: Graph, h: Graph) -> range:
     """The kind's bundle matchings over each g-edge, the identity n2 alone or
-    all of K_{n2,n2}; SizeError first if the product's n1*m2 + m1*n2*len(matchings)
-    edges are more than MAX_EDGES."""
-    matchings = range(h.n, h.n + 1) if kind == CARTESIAN else range(1, h.n + 1)
-    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
-    return matchings
-
-
-def _build(kind: str, g: Graph, h: Graph) -> ProductGraph:
-    """Every fiber copy of h plus the kind's bundle matchings over every g-edge.
-
-    Empty, too large or disconnected factors are rejected before any building.
-    """
+    all of K_{n2,n2}, if g and h make a product.  The one check of that, in
+    this order: InputError for an empty factor, SizeError if the product's
+    n1*m2 + m1*n2*len(matchings) edges are more than MAX_EDGES, InputError
+    for a disconnected first, then second, factor."""
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
-    matchings = _matchings(kind, g, h)
+    matchings = range(h.n, h.n + 1) if kind == CARTESIAN else range(1, h.n + 1)
+    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():
         raise InputError("second factor must be connected")
+    return matchings
+
+
+def _build(kind: str, g: Graph, h: Graph) -> ProductGraph:
+    """Every fiber copy of h plus the kind's bundle matchings over every g-edge."""
+    matchings = _matchings(kind, g, h)
     # the copy methods read only the factor sizes, not the graph being built
     shell = ProductGraph(kind, Graph(0, ()), g.n, h.n)
     edges: list[Edge] = []
@@ -143,9 +142,10 @@ def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
 
 
 def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
+    from .verify import _packing_record
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
-    _matchings(args.kind, g, h)   # refuse an oversized product before any oracle runs
+    _matchings(args.kind, g, h)   # refuse a non-product before any oracle runs
     pg, ph = _factor_packings(args, g, h)
     packed = _pack(args.kind, g, h, pg, ph)
     count = len(packed.trees)

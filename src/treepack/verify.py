@@ -3,7 +3,7 @@
 Verification never trusts how an object was built: every check recomputes the
 property from the edge lists and carries a concrete witness on failure.  It
 is the bottom layer: it imports only ``core``.  ``treepack verify`` runs here,
-and every packing file is read here.
+and every packing file is read and its record made here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .core import (ConstructionError, ContractError, Edge, Graph, ParseError,
-                   TreePacking, _read_text, read_graph)
+                   TreePacking, _find, _read_text, read_graph)
 
 
 class Check(NamedTuple):
@@ -94,12 +94,8 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
     # n-1 edges that close no cycle join all n vertices: nothing to scan
     separated = None
     if n and (cycle_edge is not None or len(t) != n - 1):
-        def find(v: int) -> int:
-            while parent[v] != v:
-                v = parent[v]
-            return v
-        root = find(0)
-        separated = next((v for v in range(n) if find(v) != root), None)
+        root = _find(parent, 0)
+        separated = next((v for v in range(n) if _find(parent, v) != root), None)
     checks.append(Check(f"{tag}: spans and connects all vertices",
                         separated is None,
                         f"vertex {separated} separated from vertex 0"
@@ -168,6 +164,18 @@ def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     for check in verify_packing(host, packing).checks:
         if not check.passed:
             raise ContractError(f"{role}: {check.name} fails: {check.witness}")
+
+
+def _packing_record(graph_ref: str, packing: TreePacking,
+                    verified: bool) -> dict[str, Any]:
+    """A packing file; its bound is its tree count (sigma for the oracle)."""
+    return {
+        "graph": graph_ref,
+        "method": packing.method,
+        "bound": len(packing.trees),
+        "trees": packing.trees,
+        "verified": verified,
+    }
 
 
 def _load_packing(path_: str, host: Graph) -> TreePacking:

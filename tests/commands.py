@@ -3,10 +3,19 @@
 The comment at the top of that file gives the format.  ``ROWS`` holds its
 rows.  ``Row.argv_in`` fills in a row's output directory, and ``Row.check``
 checks what the row's command did, however it was run.
+
+Run as a script, it checks every row of one treepack command in child
+processes, each row in a fresh output directory::
+
+    python tests/commands.py treepack
+    PYTHONPATH="$PWD/src" python tests/commands.py python -m treepack.cli
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,3 +59,29 @@ class Row(NamedTuple):
 ROWS = [Row(int(words[0]), words[1], tuple(words[2:]))
         for words in map(str.split, (GOLDEN / "commands.txt").read_text().splitlines())
         if words and words[0][0] != "#"]
+
+
+def main(command: list[str]) -> int:
+    """Run ``command + row.argv_in(out)`` for every row in the golden
+    directory; print each failing row and the pass count, and return 1 if any
+    row failed."""
+    if not command or not __debug__:   # Row.check asserts
+        print("usage: python tests/commands.py CMD... (not under -O)", file=sys.stderr)
+        return 2
+    passed = 0
+    for row in ROWS:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            done = subprocess.run([*command, *row.argv_in(out)], cwd=GOLDEN,
+                                  capture_output=True, timeout=300)
+            try:
+                row.check(out, done.returncode, done.stdout, done.stderr)
+                passed += 1
+            except AssertionError as exc:
+                print(f"FAIL {row}: {str(exc).strip()}")
+    print(f"{passed} of {len(ROWS)} rows pass")
+    return 0 if passed == len(ROWS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

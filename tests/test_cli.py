@@ -75,10 +75,10 @@ def test_product_with_empty_factor_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "product", "cartesian", str(empty), str(p3))
     assert code == 2 and out == ""
     assert "both factors must be non-empty" in err
-    # pack asks the oracle for the empty factor's packing first
+    # pack checks its factors as product does, before any factor packing
     code, out, err = run(capsys, "pack", "cartesian", str(empty), str(p3))
     assert code == 2 and out == ""
-    assert "error: packing number needs n >= 2, got n=0" in err
+    assert "error: both factors must be non-empty" in err
 
 
 def test_product_out_writes_the_graph_and_no_stdout(capsys, tmp_path):
@@ -370,21 +370,49 @@ def test_pinned_command_line(capsys, monkeypatch, tmp_path, row):
     row.check(tmp_path, code, out.encode(), err.encode())
 
 
-def test_oversized_product_is_usage_error(capsys, tmp_path, monkeypatch):
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The graphs treepack.oracle.max_packing is called on, which still runs."""
+    import treepack.oracle
+    calls = []
+    real = treepack.oracle.max_packing
+    monkeypatch.setattr(treepack.oracle, "max_packing",
+                        lambda g: calls.append(g) or real(g))
+    return calls
+
+
+def test_oversized_product_is_usage_error(capsys, tmp_path, oracle_calls):
     k2 = tmp_path / "k2.txt"
     p3000 = tmp_path / "p3000.txt"
     run(capsys, "gen", "complete", "2", "--out", str(k2))
     run(capsys, "gen", "path", "3000", "--out", str(p3000))
-    import treepack.oracle
-    oracle_calls = []
-    real = treepack.oracle.max_packing
-    monkeypatch.setattr(treepack.oracle, "max_packing",
-                        lambda g: oracle_calls.append(g) or real(g))
     for command in ("product", "pack"):
         code, out, err = run(capsys, command, "lex", str(k2), str(p3000))
         assert code == 2 and out == ""
         assert "error: product would have 9005998 edges" in err
     # pack refuses the product before it runs the oracle on either factor
+    assert oracle_calls == []
+
+
+@pytest.mark.parametrize("given", [0, 1, 2], ids=["oracle", "one-file", "two-files"])
+@pytest.mark.parametrize("role", ["first", "second"])
+@pytest.mark.parametrize("kind", ["cartesian", "lex"])
+def test_pack_disconnected_factor_is_refused_before_any_oracle(
+        capsys, tmp_path, oracle_calls, kind, role, given):
+    """pack refuses a disconnected factor with product's message, whether the
+    factor packings would come from the oracle or from files."""
+    d, d_packing = tmp_path / "d.txt", tmp_path / "d.json"
+    d.write_text("p 4 2\ne 0 1\ne 2 3\n")
+    d_packing.write_text('{"trees": [[[0, 1], [2, 3]]]}')
+    graphs = [str(d), str(GOLDEN / "k4.graph")]
+    packings = [str(d_packing), str(GOLDEN / "k4.factor.json")]
+    if role == "second":
+        graphs.reverse()
+        packings.reverse()
+    code, out, err = run(capsys, "product", kind, *graphs)
+    assert (code, out, err) == (2, "", f"error: {role} factor must be connected\n")
+    flags = [word for path in packings[:given] for word in ("--factor-packing", path)]
+    assert run(capsys, "pack", kind, *graphs, *flags) == (code, out, err)
     assert oracle_calls == []
 
 
