@@ -112,18 +112,18 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
 
     # (min, max) copies of checked factor trees: verified_packing below is
     # their only check
-    trees: list[tuple[Edge, ...]] = []
+    trees: list[list[Edge]] = []
     for i in range(k - 1):
         edges = product.fiber_copy(split.subtree, free_subtree[i])
         edges.extend(product.fiber_copy(split.forest, free_forest[i]))
         edges.extend(product.matching_copy(pack_g.trees[i], n2))   # every cross section
-        trees.append(tuple(sorted(edges)))
+        trees.append(edges)
     for j in range(ell - 1):
         edges = [rungs[j] for rungs in leftover]
         for u in range(g.n):
             edges.extend(product.fiber_copy(pack_h.trees[j], u))
-        trees.append(tuple(sorted(edges)))
-    trees.append(tuple(sorted(backbone)))
+        trees.append(edges)
+    trees.append(backbone)
 
     return verified_packing(product.graph, trees, "constructed-cartesian",
                             cartesian_bound(k, ell))

@@ -188,8 +188,7 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
         bound = None
         verified = None
     else:
-        packed = _pack(row.kind, row.g, row.h, max_packing(row.g).packing,
-                       max_packing(row.h).packing)
+        packed = _pack(row.kind, row.g, row.h)
         host = packed.host
         bound = len(packed.trees)
         verified = True  # _pack verifies, as in cmd_pack

@@ -83,10 +83,11 @@ def _find(parent: Any, v: int) -> int:
     return v
 
 
-def root_tree(n: int, tree: tuple[Edge, ...]) -> tuple[Edge, ...]:
-    """A spanning tree of the vertices 0..n-1 rooted at vertex 0: its edges
-    as (parent, child), in breadth-first order of the child."""
-    parent, order = bfs_tree(n, tree)
+def root_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The breadth-first spanning tree of a connected (0..n-1, edges) rooted
+    at vertex 0: its edges as (parent, child), in discovery order of the
+    child.  A spanning tree comes back as itself, oriented."""
+    parent, order = bfs_tree(n, edges)
     return tuple((parent[v], v) for v in order[1:])
 
 

@@ -10,10 +10,9 @@ unbalanced regimes consume.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .core import (Edge, Graph, InputError, TreePacking, bfs_tree,
-                   normalize_edge, root_tree)
+from .core import Edge, Graph, InputError, TreePacking, normalize_edge, root_tree
 from .products import lexicographic
 from .verify import check_packing, verified_packing
 
@@ -52,15 +51,10 @@ def lex_plan(k: int, ell: int, n1: int, n2: int) -> LexPlan:
     return LexPlan(G_RICH, x, k * n2 - 2 * x + ell - 1)
 
 
-def extract_spanning_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """Breadth-first spanning tree of a connected subgraph on 0..n-1.
-
-    Deterministic: search starts at vertex 0 and scans neighbors in ascending
-    order, so the same edges in any order always yield the same tree.  A
-    disconnected subgraph yields the tree of vertex 0's component only.
-    """
-    parent, order = bfs_tree(n, edges)
-    return tuple(sorted(normalize_edge(parent[w], w) for w in order[1:]))
+def _check_sizes(g: Graph, h: Graph) -> None:
+    """InputError unless both factors have the two vertices a bundle needs."""
+    if g.n < 2 or h.n < 2:
+        raise InputError("both factors need at least 2 vertices")
 
 
 def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
@@ -68,8 +62,7 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     """Build the guaranteed number of edge-disjoint spanning trees of G o H."""
     check_packing(pack_g, g, "first factor packing")
     check_packing(pack_h, h, "second factor packing")
-    if g.n < 2 or h.n < 2:
-        raise InputError("both factors need at least 2 vertices")
+    _check_sizes(g, h)
     k = len(pack_g.trees)
     ell = len(pack_h.trees)
     n1, n2 = g.n, h.n
@@ -84,19 +77,19 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # dropping it would change the pinned lex outputs.
     oriented = [root_tree(n1, t) for t in pack_g.trees]
 
-    def section_tree(t: int, v: int) -> tuple[Edge, ...]:
+    def section_tree(t: int, v: int) -> list[Edge]:
         """Every fiber copy of H-tree t, joined by the cross-section copy at v
         of the held-back last G-tree."""
         edges = product.cross_section_copy(pack_g.trees[k - 1], v)
         for u in range(n1):
             edges.extend(product.fiber_copy(pack_h.trees[t], u))
-        return tuple(sorted(edges))
+        return edges
 
     # the identity matching of the last G-tree, held back unless balanced
     reserved = None if plan.case == BALANCED else (k - 1, n2)
     # (min, max) copies of checked factor trees: verified_packing below is
     # their only check
-    trees: list[tuple[Edge, ...]] = []
+    trees: list[list[Edge]] = []
 
     if plan.case != G_RICH:
         # balanced pairs like H_RICH with x = ell: no section trees are left
@@ -105,8 +98,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
                 if (i, j) != reserved]
         fibers = [(t, s) for t in range(x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
-            trees.append(tuple(sorted(product.matching_copy(oriented[i], j)
-                                      + product.fiber_copy(pack_h.trees[t], s))))
+            trees.append(product.matching_copy(oriented[i], j)
+                         + product.fiber_copy(pack_h.trees[t], s))
         for t in range(x, ell):
             trees.append(section_tree(t, t - x))
 
@@ -127,9 +120,11 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
         consumed.update((i, 2 * r) for i, r in taken)
         singles = [(i, j) for i in range(k) for j in range(1, n2 + 1)
                    if (i, j) != reserved and (i, j) not in consumed]
+        # the breadth-first spanning tree of a single plus its cycle, a
+        # connected union (tests/test_budgets.py)
         for (i, j), cyc in zip(singles, cycles):
-            trees.append(extract_spanning_tree(
-                product.graph.n, product.matching_copy(oriented[i], j) + cyc))
+            union = product.matching_copy(oriented[i], j) + cyc
+            trees.append([normalize_edge(p, c) for p, c in root_tree(n1 * n2, union)])
 
     return verified_packing(product.graph, trees, "constructed-lex",
                             plan.tree_count)

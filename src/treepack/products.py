@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from types import SimpleNamespace
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import (Edge, Graph, InputError, TreePacking, _dump, _graph_record,
                    _read_text, _write_out, check_edge_count, read_graph,
@@ -116,29 +116,25 @@ def cmd_product(args: SimpleNamespace) -> tuple[str | None, Any, dict, None]:
             {"n": p.graph.n, "m": p.graph.m, "out": args.out}, None)
 
 
-def _factor_packings(args: SimpleNamespace, g: Graph,
-                     h: Graph) -> list[TreePacking]:
-    """The packing files given for G, then H; for a factor without one, the
-    oracle's packing, or the single empty tree of a one-vertex graph."""
+def _pack(kind: str, g: Graph, h: Graph, paths: Sequence[str] = ()) -> TreePacking:
+    """The verified construction for this product kind from the packing files
+    given for G, then H; a factor without one gets the oracle's packing, or
+    the single empty tree of a one-vertex graph.  Imports only what it runs."""
     from .verify import _load_packing
-    overrides = args.factor_packing or []
-    if len(overrides) > 2:
-        raise InputError("--factor-packing may be given at most twice (G then H)")
-    packings = [_load_packing(path_, f) for path_, f in zip(overrides, (g, h))]
-    for f in (g, h)[len(packings):]:
-        from .oracle import max_packing
-        packings.append(TreePacking(f, ((),)) if f.n == 1 else max_packing(f).packing)
-    return packings
-
-
-def _pack(kind: str, g: Graph, h: Graph, pg: TreePacking,
-          ph: TreePacking) -> TreePacking:
-    """The verified construction for this product kind; imports only its module."""
+    packings = [_load_packing(path_, f) for path_, f in zip(paths, (g, h))]
     if kind == CARTESIAN:
-        from .cartesian import pack_cartesian
-        return pack_cartesian(g, h, pg, ph)
-    from .lex import pack_lex
-    return pack_lex(g, h, pg, ph)
+        from .cartesian import pack_cartesian as construct
+    else:
+        from .lex import _check_sizes, pack_lex as construct
+    for f in (g, h)[len(packings):]:
+        if f.n == 1:
+            packings.append(TreePacking(f, ((),)))
+            continue
+        if kind == LEXICOGRAPHIC:
+            _check_sizes(g, h)   # lex's own refusal comes before the oracle's work
+        from .oracle import max_packing
+        packings.append(max_packing(f).packing)
+    return construct(g, h, *packings)
 
 
 def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
@@ -146,8 +142,10 @@ def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
     _matchings(args.kind, g, h)   # refuse a non-product before any oracle runs
-    pg, ph = _factor_packings(args, g, h)
-    packed = _pack(args.kind, g, h, pg, ph)
+    paths = args.factor_packing or []
+    if len(paths) > 2:
+        raise InputError("--factor-packing may be given at most twice (G then H)")
+    packed = _pack(args.kind, g, h, paths)
     count = len(packed.trees)
     graph_ref = os.path.basename(args.out) + ".graph" if args.out else "-"
     record = _packing_record(graph_ref, packed, True)

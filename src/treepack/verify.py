@@ -134,14 +134,15 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
     return VerificationReport(subject, tuple(checks))
 
 
-def verified_packing(host: Graph, trees: list[tuple[Edge, ...]], method: str,
+def verified_packing(host: Graph, trees: list[list[Edge]], method: str,
                      expected: int) -> TreePacking:
-    """How every construction ends: ConstructionError unless there are
-    ``expected`` trees and ``verify_packing`` passes them."""
+    """How every construction ends: each tree's edges, in any order, sorted
+    into the packing; ConstructionError unless there are ``expected`` trees
+    and ``verify_packing`` passes them."""
     if len(trees) != expected:
         raise ConstructionError(
             f"internal: built {len(trees)} trees, expected {expected}")
-    packing = TreePacking(host, tuple(trees), method)
+    packing = TreePacking(host, tuple(tuple(sorted(t)) for t in trees), method)
     report = verify_packing(host, packing)
     if not report.overall:
         raise ConstructionError(

@@ -416,6 +416,20 @@ def test_pack_disconnected_factor_is_refused_before_any_oracle(
     assert oracle_calls == []
 
 
+@pytest.mark.parametrize("role", ["first", "second"])
+def test_pack_lex_one_vertex_factor_is_refused_before_any_oracle(
+        capsys, tmp_path, oracle_calls, role):
+    """lex's two-vertex rule comes before the oracle packs the other factor."""
+    k1 = tmp_path / "k1.txt"
+    run(capsys, "gen", "path", "1", "--out", str(k1))
+    graphs = [str(k1), str(GOLDEN / "k4.graph")]
+    if role == "second":
+        graphs.reverse()
+    assert run(capsys, "pack", "lex", *graphs) == (
+        2, "", "error: both factors need at least 2 vertices\n")
+    assert oracle_calls == []
+
+
 def test_huge_vertex_count_is_usage_error(capsys, tmp_path):
     # the 'p' line is checked against the edge cap before anything is
     # allocated per vertex

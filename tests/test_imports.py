@@ -108,6 +108,17 @@ def test_usage_error_loads_argparse_and_no_treepack_module(files, argv):
     assert result["modules"] == ["cli"]
 
 
+@pytest.mark.parametrize("role", ["first", "second"])
+def test_pack_lex_refuses_a_one_vertex_factor_without_loading_the_oracle(
+        files, tmp_path, role):
+    k1 = tmp_path / "k1.graph"
+    assert main(["gen", "path", "1", "--out", str(k1)]) == 0
+    graphs = [str(k1), "k4.graph"] if role == "first" else ["k4.graph", str(k1)]
+    result = json.loads(_python(PROBE, "pack", "lex", *graphs, cwd=files))
+    assert result["code"] == 2
+    assert result["modules"] == ["cli", "core", "lex", "products", "verify"]
+
+
 def test_bare_package_import_loads_no_module(tmp_path):
     out = _python("import sys, treepack; "
                   "print(sorted(m for m in sys.modules if m.startswith('treepack')))",
@@ -129,6 +140,25 @@ assert via_import is before and after is before and treepack.cartesian is before
 print("ok")
 """, cwd=files)
     assert out.splitlines()[-1] == "ok"
+
+
+def test_every_private_function_class_and_method_is_used():
+    """Unused code still costs its compile in every command that loads its
+    module: each private top-level function or class, and each private
+    method, is named somewhere in src/ besides its own definition."""
+    defined, named = [], set()
+    for path in sorted((SRC / "treepack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defined.append((path.name, d.name))
+        named.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        named.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute))
+    assert [f"{file} {name}" for file, name in defined if name not in named] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -135,6 +135,18 @@ def test_verified_packing_is_the_construction_exit_check():
                               + report.render())
     assert verified_packing(g, trees, "constructed-test", 2) == \
         TreePacking(g, tuple(trees), "constructed-test")
+    # a construction hands over edge lists in any order; they are sorted
+    # into the packing's tuples
+    shuffled = [list(reversed(t)) for t in trees]
+    assert verified_packing(g, shuffled, "constructed-test", 2) == \
+        TreePacking(g, tuple(trees), "constructed-test")
+    # sorting does not orient: a (max, min) edge is still not a host edge
+    a, b = trees[0][1]
+    flipped = [[(b, a)] + list(trees[0][:1] + trees[0][2:]), list(trees[1])]
+    with pytest.raises(ConstructionError) as exc:
+        verified_packing(g, flipped, "constructed-test", 2)
+    assert f"  FAIL tree 0: edges belong to host  [{(b, a)}]" in \
+        str(exc.value).splitlines()
 
 
 def test_verify_packing_mutations_fail():
