@@ -146,12 +146,11 @@ def run() -> NoReturn:
     """Process entry of ``python -m treepack.cli`` and the ``treepack`` script.
 
     A command leaves no cyclic garbage worth collecting (its graphs, trees and
-    records are acyclic), so the cyclic collector is switched off, the start-up
-    heap frozen, and the process ends without interpreter finalisation.
+    records are acyclic), so the cyclic collector is switched off and the
+    process ends without interpreter finalisation.
     ``main`` leaves GC state alone, for callers that run it in their process.
     """
     gc.disable()
-    gc.freeze()
     try:
         code = main()
     except SystemExit as exc:   # argparse's --help and usage errors

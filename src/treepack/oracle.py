@@ -11,22 +11,23 @@ O(log n) times while a forest grows; a path is unique, so the rooting never
 changes it.  Inside a later level every unused edge gets at most one
 augmentation attempt: a breadth-first search over exchange moves (replace a
 forest edge by another edge whose endpoints that forest connects) that either
-finds a forest with room or proves none exists.  An augmenting chain keeps
-the size of every forest it passes through and grows only the receiving one,
-so the older forests stay spanning trees and only the newest can receive: the
-search walks the newest forest's path first and, when there is none, ends
-before it labels any older forest's path.  A failed search merges the
-endpoints of every edge it labelled into one clump (Roskind and Tarjan,
-1985); a clump is connected inside every forest and no later augmentation
-touches its edges, so an edge with both endpoints in one clump is rejected
-without a search.  Clumps are flat labels: clump[v] is v's block id, read in
-one comparison, and a merge relabels the smaller block from its member list.
-A search labels an edge inside a clump but does not expand it: its path in
-every forest stays inside the clump, so it can neither end the search nor
-label an edge outside the clump, and the search keeps its terminal, exchange
-chain and clumps.  The clumps of the level that fails are the
-Tutte/Nash-Williams partition certifying the bound.  ``treepack oracle`` runs
-here.
+finds a forest with room or proves none exists.  A label holds only the edge
+whose path labelled it: ``owner``, the one map from an edge to its forest,
+gives each edge's forest.  An augmenting chain keeps the size of every forest
+it passes through and grows only the newest, so the older forests stay
+spanning trees and only the newest can receive: the search walks the newest
+forest's path first and, when there is none, ends before it labels any older
+forest's path.  A failed search merges the endpoints of every edge it labelled
+into one clump (Roskind and Tarjan, 1985); a clump is connected inside every
+forest and no later augmentation touches its edges, so an edge with both
+endpoints in one clump is rejected without a search.  Clumps are flat labels:
+clump[v] is v's block id, read in one comparison, and a merge relabels the
+smaller block from its member list.  A search labels an edge inside a clump
+but does not expand it: its path in every forest stays inside the clump, so it
+can neither end the search nor label an edge outside the clump, and the search
+keeps its terminal, exchange chain and clumps.  The clumps of the level that
+fails are the Tutte/Nash-Williams partition certifying the bound.
+``treepack oracle`` runs here.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from typing import Any, NamedTuple
 
 from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
                    _dump, _find, _read_text, _write_out, read_graph)
-
-Label = tuple[Edge, int]
-
 
 class TutteCertificate(NamedTuple):
     """A vertex partition certifying an upper bound on the packing number.
@@ -134,28 +132,28 @@ class _ForestFamily:
         self.span[i][rb] += self._hang(i, a, b)
         self.owner[e] = i
 
-    def remove(self, e: Edge, i: int) -> None:
-        if self.owner.get(e) != i:
-            raise ConstructionError(f"internal: {e} is not in forest {i}")
+    def remove(self, e: Edge) -> int:
+        """Take e out of the forest that holds it and return that forest."""
+        i = self.owner.pop(e)
         a, b = e if self.parent[i][e[1]] == e[0] else e[::-1]   # b is the child
         self.adj[i][a].discard(b)
         self.adj[i][b].discard(a)
         span = self.span[i]
         span[b] = self._hang(i, b, -1)
         span[self._root(i, a)] -= span[b]
-        del self.owner[e]
+        return i
 
     def search(self, e0: Edge, clump: list[int]
-               ) -> tuple[Edge | None, int, dict[Edge, Label | None]]:
+               ) -> tuple[Edge | None, dict[Edge, Edge | None]]:
         """Breadth-first exchange search from an unused edge.
 
-        Returns (terminal edge, receiving forest, labels); terminal None means
-        no forest can absorb the edge even after exchanges.  The older forests
-        are spanning trees, so only the newest can receive and its path is
-        walked first.  `clump` is the level's flat block labels; an edge
-        inside one block is labelled, not expanded.
+        Returns (terminal edge, labels); terminal None means no forest can
+        absorb the edge even after exchanges.  label[g] is the edge whose path
+        labelled g (None for e0); g's forest is owner[g].  `clump` is the
+        level's flat block labels; an edge inside one block is labelled, not
+        expanded.
         """
-        label: dict[Edge, Label | None] = {e0: None}
+        label: dict[Edge, Edge | None] = {e0: None}
         queue = deque([e0])
         newest = len(self.adj) - 1
         while queue:
@@ -165,28 +163,26 @@ class _ForestFamily:
             if own != newest:
                 last = self.path_in(newest, a, b)
                 if last is None:
-                    return f, newest, label
+                    return f, label
             for i in range(newest + 1):
                 if i == own:
                     continue
                 for g in last if i == newest else self.path_in(i, a, b):
                     if g not in label:
-                        label[g] = (f, i)
+                        label[g] = f
                         if clump[g[0]] != clump[g[1]]:
                             queue.append(g)
-        return None, -1, label
+        return None, label
 
-    def augment(self, f: Edge, i: int, label: dict[Edge, Label | None]) -> None:
-        """Move edges along the chain a successful search found, ending at f."""
-        while True:
-            lab = label[f]
-            if lab is None:
-                self.insert(f, i)
-                return
-            pred, j = lab
-            self.remove(f, j)
+    def augment(self, f: Edge, label: dict[Edge, Edge | None]) -> None:
+        """Move the chain a successful search found, ending at f: f joins the
+        newest forest, each earlier edge the forest the next edge left."""
+        i = len(self.adj) - 1
+        while (pred := label[f]) is not None:
+            j = self.remove(f)
             self.insert(f, i)
             f, i = pred, j
+        self.insert(f, i)
 
     def snapshot(self, g: Graph) -> TreePacking:
         per: list[list[Edge]] = [[] for _ in self.adj]
@@ -218,9 +214,9 @@ def max_packing(g: Graph) -> OracleResult:
         for e in g.edges:
             if e in family.owner or clump[e[0]] == clump[e[1]]:
                 continue
-            f, i, label = family.search(e, clump)
+            f, label = family.search(e, clump)
             if f is not None:
-                family.augment(f, i, label)
+                family.augment(f, label)
                 continue
             for a, b in label:
                 ca, cb = clump[a], clump[b]

@@ -193,7 +193,8 @@ ORACLE_CORPUS = Path(__file__).parent / "golden" / "oracle_corpus.json"
 
 def oracle_corpus() -> dict[str, Graph]:
     """Q1-Q8, K2-K20, the structured shapes of the oracle-sparse benchmark
-    workload (built as `treepack product` labels them), 100 seeded random
+    workload (built as `treepack product` labels them), three lexicographic
+    products (many levels, long exchange chains), 100 seeded random
     connected graphs with n <= 40, 12 seeded sparse graphs of known sigma 1-4
     with 60 <= n <= 150 and 8 seeded dense graphs with 12 <= n <= 20."""
     graphs = {f"Q{d}": hypercube(d) for d in range(1, 9)}
@@ -206,6 +207,10 @@ def oracle_corpus() -> dict[str, Graph]:
             ("K4(2)xC8", complete_multipartite(4, 2), cycle(8)),
             ("P30xP10", path(30), path(10)), ("P20xP20", path(20), path(20))]:
         graphs[name] = cartesian(g, h).graph       # Q4, Q6 and Q7 are above
+    for name, g, h in [("C12oK6", cycle(12), complete(6)),   # sigma 8
+                       ("K8oP6", complete(8), path(6)),      # sigma 22
+                       ("K5oP3", complete(5), path(3))]:     # sigma 7
+        graphs[name] = lexicographic(g, h).graph
     rng = random.Random(2013)
     for i in range(100):
         graphs[f"R{i}"] = random_connected(rng, rng.randint(2, 40))
@@ -262,8 +267,9 @@ def oracle_digest(g: Graph) -> str:
 def test_oracle_corpus_outputs_pinned():
     # The pinned digests were written by the oracle before clump pruning and
     # smaller-side re-rooting (S* and D* before the search-free first level,
-    # the newest-forest-first search and flat clump labels); any change to a
-    # tree or certificate shows here.
+    # the newest-forest-first search and flat clump labels; the lexicographic
+    # rows by the oracle whose labels still named the owning forest); any
+    # change to a tree or certificate shows here.
     # Regenerate only for an intended output change:
     #   json.dumps({k: oracle_digest(g) for k, g in oracle_corpus().items()},
     #              indent=1)
@@ -274,22 +280,23 @@ def test_oracle_corpus_outputs_pinned():
 
 def test_clump_pruning_changes_no_search_result(monkeypatch):
     # Each search runs a second time with the identity clump, which expands
-    # every labelled edge; both must end at the same edge and forest and give
-    # every edge between two clumps the same label.
+    # every labelled edge; both must end at the same edge and give every edge
+    # between two clumps the same predecessor.  A label's forest is owner[g],
+    # the same in both searches, and the receiving forest is the newest.
     search = _ForestFamily.search
     pruned = []
 
     def both(self, e0, clump):
-        f, i, label = search(self, e0, clump)
-        f_all, i_all, label_all = search(self, e0, list(range(self.n)))
-        assert (f, i) == (f_all, i_all)
+        f, label = search(self, e0, clump)
+        f_all, label_all = search(self, e0, list(range(self.n)))
+        assert f == f_all
 
         def between(lab):
             return {e: x for e, x in lab.items()
                     if _find(clump, e[0]) != _find(clump, e[1])}
         assert between(label) == between(label_all)
         pruned.append(len(label_all) - len(label))
-        return f, i, label
+        return f, label
 
     monkeypatch.setattr(_ForestFamily, "search", both)
     rng = random.Random(77)
@@ -332,8 +339,8 @@ def test_older_forests_stay_spanning_trees(n, seed):
             seen["level 1"] += 1
         add_forest(self)
 
-    def checked_augment(self, f, i, label):
-        augment(self, f, i, label)
+    def checked_augment(self, f, label):
+        augment(self, f, label)
         assert len(self.adj) >= 2
         for j in range(len(self.adj) - 1):
             tree = forest(self, j)
@@ -370,7 +377,7 @@ def test_forest_bookkeeping_invariants(data):
         e = (min(a, b), max(a, b))
         comp = components(n, forests[i])
         if e in forests[i]:
-            family.remove(e, i)
+            assert family.remove(e) == i
             forests[i].discard(e)
         elif e in family.owner:
             continue
