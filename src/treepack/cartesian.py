@@ -9,6 +9,7 @@ completed with the copies and cross edges the backbone leaves unused.
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from .core import Edge, Graph, InputError, TreePacking, normalize_edge, root_tree
@@ -41,15 +42,18 @@ def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
         adj[a].add(b)
         adj[b].add(a)
     alive = set(range(n))
+    leaves = [v for v in range(n) if len(adj[v]) == 1]   # ascending, so a heap
     deleted: list[Edge] = []
     # the loop runs while a tree of >= 2 vertices is alive, so each of its
-    # leaves has exactly one alive neighbor
+    # leaves has exactly one alive neighbor, and a vertex becomes a leaf once
     while len(alive) > target:
-        leaf = min(v for v in alive if len(adj[v]) == 1)
+        leaf = heapq.heappop(leaves)
         (anchor,) = adj[leaf]
         deleted.append(normalize_edge(leaf, anchor))
         adj[anchor].discard(leaf)
         alive.remove(leaf)
+        if len(adj[anchor]) == 1:
+            heapq.heappush(leaves, anchor)
     gone = set(deleted)
     subtree = tuple(e for e in tree if e not in gone)
     return LeafSplit(subtree, frozenset(alive), tuple(sorted(deleted)))

@@ -3,12 +3,12 @@
 The packer grows k edge-disjoint forests one level at a time.  Level 1 needs
 no search: with one forest an exchange cannot succeed and a failed search
 changes nothing, so the first forest is the first-fit spanning tree of the
-edge list, built with a union-find.  Each forest is rooted (parent and depth
-arrays), so the path joining two vertices is walked up from both ends in
-O(path length).  Each root keeps its tree's vertex count and an insert
-re-roots the smaller of the two trees it joins, so a vertex is re-rooted
-O(log n) times while a forest grows; a path is unique, so the rooting never
-changes it.  Inside a later level every unused edge gets at most one
+edge list.  Each forest is rooted: parent, depth and root arrays give a
+vertex's tree in one lookup and the path joining two vertices, walked up from
+both ends, in O(path length).  Each root keeps its tree's vertex count and an
+insert re-roots and relabels the smaller tree of the two it joins, so a vertex
+is relabelled O(log n) times per forest; a path is unique, so the rooting
+never changes it.  Inside a later level every unused edge gets at most one
 augmentation attempt: a breadth-first search over exchange moves (replace a
 forest edge by another edge whose endpoints that forest connects) that either
 finds a forest with room or proves none exists.  A label holds only the edge
@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
-                   _dump, _find, _read_text, _write_out, read_graph)
+                   _dump, _read_text, _write_out, read_graph)
 
 class TutteCertificate(NamedTuple):
     """A vertex partition certifying an upper bound on the packing number.
@@ -65,6 +65,7 @@ class _ForestFamily:
         self.adj: list[list[set[int]]] = []
         self.parent: list[list[int]] = []   # -1 marks a root
         self.depth: list[list[int]] = []
+        self.root: list[list[int]] = []     # the root of each vertex's tree
         self.span: list[list[int]] = []     # vertex count of a root's tree
         self.owner: dict[Edge, int] = {}
 
@@ -72,6 +73,7 @@ class _ForestFamily:
         self.adj.append([set() for _ in range(self.n)])
         self.parent.append([-1] * self.n)
         self.depth.append([0] * self.n)
+        self.root.append(list(range(self.n)))
         self.span.append([1] * self.n)
 
     def path_in(self, i: int, a: int, b: int) -> list[Edge] | None:
@@ -97,21 +99,18 @@ class _ForestFamily:
         down.reverse()
         return up + down
 
-    def _root(self, i: int, v: int) -> int:
-        parent = self.parent[i]
-        while parent[v] >= 0:
-            v = parent[v]
-        return v
-
     def _hang(self, i: int, v: int, p: int) -> int:
-        """Re-root v's tree in forest i at v, below p (if p >= 0); return its size."""
-        adj, parent, depth = self.adj[i], self.parent[i], self.depth[i]
+        """Re-root v's tree in forest i at v, below p (if p >= 0), relabel its
+        vertices with their new root (root[p], or v) and return its size."""
+        adj, parent = self.adj[i], self.parent[i]
+        depth, root = self.depth[i], self.root[i]
         parent[v] = p
-        depth[v] = depth[p] + 1 if p >= 0 else 0
+        depth[v], top = (depth[p] + 1, root[p]) if p >= 0 else (0, v)
         stack = [v]
         count = 0
         while stack:
             x = stack.pop()
+            root[x] = top
             count += 1
             for y in adj[x]:
                 if y != parent[x]:
@@ -122,7 +121,7 @@ class _ForestFamily:
 
     def insert(self, e: Edge, i: int) -> None:
         a, b = e
-        ra, rb = self._root(i, a), self._root(i, b)
+        ra, rb = self.root[i][a], self.root[i][b]
         if ra == rb:
             raise ConstructionError(f"internal: inserting {e} closes a cycle")
         self.adj[i][a].add(b)
@@ -140,7 +139,7 @@ class _ForestFamily:
         self.adj[i][b].discard(a)
         span = self.span[i]
         span[b] = self._hang(i, b, -1)
-        span[self._root(i, a)] -= span[b]
+        span[self.root[i][a]] -= span[b]
         return i
 
     def search(self, e0: Edge, clump: list[int]
@@ -200,11 +199,8 @@ def max_packing(g: Graph) -> OracleResult:
         raise InputError("packing number of a disconnected graph is undefined here")
     family = _ForestFamily(g.n)
     family.add_forest()
-    first = list(range(g.n))
     for e in g.edges:
-        ra, rb = _find(first, e[0]), _find(first, e[1])
-        if ra != rb:
-            first[ra] = rb
+        if family.root[0][e[0]] != family.root[0][e[1]]:
             family.insert(e, 0)
     while True:
         sigma, witness = len(family.adj), family.snapshot(g)

@@ -1,8 +1,9 @@
 """Independent references the tests check treepack against.
 
 Each is slow or small-scale on purpose: a connected-components search, a
-one-cycle test, an exhaustive partition search, and the graphs of the
-catalogued closed forms with a check of one row against the exact oracle.
+one-cycle test, a leaf split that scans for each leaf, an exhaustive partition
+search, and the graphs of the catalogued closed forms with a check of one row
+against the exact oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +64,27 @@ def is_one_cycle(edges: list[Edge], length: int) -> bool:
     packed = {v: i for i, v in enumerate(sorted(verts))}
     comp = components(len(packed), [(packed[a], packed[b]) for a, b in edges])
     return all(d == 2 for d in deg.values()) and len(comp) == 1
+
+
+def leaf_split_by_scan(n: int, tree: Iterable[Edge]
+                       ) -> tuple[tuple[Edge, ...], frozenset[int], tuple[Edge, ...]]:
+    """(subtree, subtree vertices, forest) of ``cartesian.leaf_split``'s rule,
+    each step scanning every alive vertex for the smallest leaf."""
+    tree = as_tree(tree)
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a, b in tree:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(range(n))
+    deleted = []
+    while len(alive) > (n + 1) // 2:
+        leaf = min(v for v in alive if len(adj[v]) == 1)
+        (anchor,) = adj[leaf]
+        deleted.append((min(leaf, anchor), max(leaf, anchor)))
+        adj[anchor].discard(leaf)
+        alive.remove(leaf)
+    subtree = tuple(e for e in tree if e not in deleted)
+    return subtree, frozenset(alive), tuple(sorted(deleted))
 
 
 def tutte_bruteforce(g: Graph) -> TutteCertificate:

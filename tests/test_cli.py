@@ -487,16 +487,43 @@ def _one_failing_table_row(monkeypatch):
 
 def test_table_reports_a_failing_row(capsys, monkeypatch):
     _one_failing_table_row(monkeypatch)
+    # Two more rows run table's other two rules: K5 x C4 builds 2 trees
+    # against sigma 3 but is marked tight, and K4 x K4's oracle is made to
+    # report 2, one tree fewer than the construction builds.
+    from treepack import catalogue, oracle
+    from treepack.products import CARTESIAN
+    rows = catalogue.table_rows() + [
+        catalogue.TableRow("K5 x C4", CARTESIAN, catalogue.complete(5),
+                           catalogue.cycle(4), None, True),
+        catalogue.TableRow("K4 x K4", CARTESIAN, catalogue.complete(4),
+                           catalogue.complete(4), None, None)]
+    monkeypatch.setattr(catalogue, "table_rows", lambda: rows)
+    exact = oracle.max_packing
+
+    def one_short_on_k4xk4(g):
+        result = exact(g)
+        return result._replace(sigma=result.sigma - 1) if g.n == 16 else result
+    monkeypatch.setattr(oracle, "max_packing", one_short_on_k4xk4)
     code, out, err = run(capsys, "table")
     assert code == 0
     assert "!! oracle 2 != closed form 5" in out
+    assert out.splitlines()[2:] == [
+        "K4                5     -     2        -  no construction"
+        "  !! oracle 2 != closed form 5",
+        "K5 x C4           -     2     3      yes  bound<sigma"
+        "  !! expected tight, bound 2 != oracle 3",
+        "K4 x K4           -     3     2      yes  bound<sigma"
+        "  !! bound 3 exceeds oracle 2"]
     assert "strict:" not in err
     code, out, _ = run(capsys, "table", "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["failures"] == ["oracle 2 != closed form 5"]
+    assert [r["failures"] for r in json.loads(out)[1:]] == [
+        ["expected tight, bound 2 != oracle 3"], ["bound 3 exceeds oracle 2"]]
     code, _, err = run(capsys, "table", "--strict")
     assert code == 1
     assert "strict: failing rows: K4" in err
+    assert err.splitlines()[0] == "strict: failing rows: K4, K5 x C4, K4 x K4"
 
 
 def test_table_json_rows(capsys):

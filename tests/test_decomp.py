@@ -12,7 +12,7 @@ from treepack.catalogue import complete, cycle, path
 from treepack.core import Graph, normalize_edge, root_tree
 from treepack.products import cartesian, lexicographic
 
-from reference import as_tree, components, is_one_cycle
+from reference import as_tree, components, is_one_cycle, leaf_split_by_scan
 
 
 def _forest_components(n: int, sp) -> tuple:
@@ -40,7 +40,8 @@ def test_root_tree_orders_breadth_first():
     st.permutations(range(n)))))
 def test_root_tree_and_leaf_split_on_random_spanning_trees(case):
     """root_tree gives every tree edge as (parent, child), each non-root
-    vertex a child once; leaf_split keeps ceil(n/2) vertices."""
+    vertex a child once; leaf_split keeps ceil(n/2) vertices and splits as
+    the scan for the smallest leaf does."""
     parents, label = case
     n = len(label)
     tree = as_tree((label[p], label[v]) for v, p in enumerate(parents, 1))
@@ -49,6 +50,7 @@ def test_root_tree_and_leaf_split_on_random_spanning_trees(case):
     assert sorted(child for _, child in rooted) == list(range(1, n))
     assert as_tree(rooted) == tree
     assert len(leaf_split(n, tree).subtree_vertices) == (n + 1) // 2
+    assert leaf_split(n, tree) == leaf_split_by_scan(n, tree)
 
 
 def test_leaf_split_known_seven_vertex_tree():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from treepack.catalogue import (complete, complete_minus_edge,
                                 complete_multipartite, cycle, hypercube, path)
 from treepack.core import (ConstructionError, Graph, InputError, SizeError,
-                           read_graph)
-from treepack.oracle import _find, _ForestFamily, max_packing
+                           _find, read_graph)
+from treepack.oracle import _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing
 
@@ -194,9 +194,11 @@ ORACLE_CORPUS = Path(__file__).parent / "golden" / "oracle_corpus.json"
 def oracle_corpus() -> dict[str, Graph]:
     """Q1-Q8, K2-K20, the structured shapes of the oracle-sparse benchmark
     workload (built as `treepack product` labels them), three lexicographic
-    products (many levels, long exchange chains), 100 seeded random
-    connected graphs with n <= 40, 12 seeded sparse graphs of known sigma 1-4
-    with 60 <= n <= 150 and 8 seeded dense graphs with 12 <= n <= 20."""
+    products (many levels, long exchange chains), four long thin graphs
+    whose forests are hundreds of vertices deep (P2000, C2000, P300xP2 and
+    C600^2, the square of C600), 100 seeded random connected graphs with
+    n <= 40, 12 seeded sparse graphs of known sigma 1-4 with 60 <= n <= 150
+    and 8 seeded dense graphs with 12 <= n <= 20."""
     graphs = {f"Q{d}": hypercube(d) for d in range(1, 9)}
     graphs.update({f"K{n}": complete(n) for n in range(2, 21)})
     for name, g, h in [
@@ -211,6 +213,10 @@ def oracle_corpus() -> dict[str, Graph]:
                        ("K8oP6", complete(8), path(6)),      # sigma 22
                        ("K5oP3", complete(5), path(3))]:     # sigma 7
         graphs[name] = lexicographic(g, h).graph
+    square = [(i, (i + d) % 600) for i in range(600) for d in (1, 2)]
+    graphs.update({"P2000": path(2000), "C2000": cycle(2000),
+                   "P300xP2": cartesian(path(300), path(2)).graph,
+                   "C600^2": Graph.from_edges(600, square)})        # sigma 2
     rng = random.Random(2013)
     for i in range(100):
         graphs[f"R{i}"] = random_connected(rng, rng.randint(2, 40))
@@ -268,8 +274,9 @@ def test_oracle_corpus_outputs_pinned():
     # The pinned digests were written by the oracle before clump pruning and
     # smaller-side re-rooting (S* and D* before the search-free first level,
     # the newest-forest-first search and flat clump labels; the lexicographic
-    # rows by the oracle whose labels still named the owning forest); any
-    # change to a tree or certificate shows here.
+    # rows by the oracle whose labels still named the owning forest; the four
+    # long thin rows by the oracle that walked parent pointers to find a
+    # vertex's root); any change to a tree or certificate shows here.
     # Regenerate only for an intended output change:
     #   json.dumps({k: oracle_digest(g) for k, g in oracle_corpus().items()},
     #              indent=1)
@@ -399,6 +406,10 @@ def test_forest_bookkeeping_invariants(data):
                 if parent[v] >= 0:
                     assert (min(v, parent[v]), max(v, parent[v])) in forests[j]
                     assert depth[v] == depth[parent[v]] + 1
+                top = v
+                while parent[top] >= 0:
+                    top = parent[top]
+                assert family.root[j][v] == top
             for x in range(n):
                 for y in range(x + 1, n):
                     assert (family.path_in(j, x, y) is None) == (comp[x] != comp[y])
