@@ -207,7 +207,7 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
     elif bound == sigma:
         note = "tight"
     else:
-        note = "bound<sigma"
+        note = "bound<sigma" if bound < sigma else "bound>sigma"
     return {
         "graph": row.label,
         "closed": row.closed,

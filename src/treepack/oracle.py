@@ -4,29 +4,35 @@ The packer grows k edge-disjoint forests one level at a time.  Level 1 needs
 no search: with one forest an exchange cannot succeed and a failed search
 changes nothing, so the first forest is the first-fit spanning tree of the
 edge list.  Each forest is rooted: parent, depth and root arrays give a
-vertex's tree in one lookup and the path joining two vertices, walked up from
-both ends, in O(path length).  Each root keeps its tree's vertex count and an
-insert re-roots and relabels the smaller tree of the two it joins, so a vertex
-is relabelled O(log n) times per forest; a path is unique, so the rooting
-never changes it.  Inside a later level every unused edge gets at most one
-augmentation attempt: a breadth-first search over exchange moves (replace a
-forest edge by another edge whose endpoints that forest connects) that either
-finds a forest with room or proves none exists.  A label holds only the edge
-whose path labelled it: ``owner``, the one map from an edge to its forest,
-gives each edge's forest.  An augmenting chain keeps the size of every forest
-it passes through and grows only the newest, so the older forests stay
-spanning trees and only the newest can receive: the search walks the newest
-forest's path first and, when there is none, ends before it labels any older
-forest's path.  A failed search merges the endpoints of every edge it labelled
-into one clump (Roskind and Tarjan, 1985); a clump is connected inside every
-forest and no later augmentation touches its edges, so an edge with both
-endpoints in one clump is rejected without a search.  Clumps are flat labels:
-clump[v] is v's block id, read in one comparison, and a merge relabels the
-smaller block from its member list.  A search labels an edge inside a clump
-but does not expand it: its path in every forest stays inside the clump, so it
-can neither end the search nor label an edge outside the clump, and the search
-keeps its terminal, exchange chain and clumps.  The clumps of the level that
-fails are the Tutte/Nash-Williams partition certifying the bound.
+vertex's tree in one lookup and its path to the root by parent pointers.  Each
+root keeps its tree's vertex count and an insert re-roots and relabels the
+smaller tree of the two it joins, so a vertex is relabelled O(log n) times per
+forest; a path is unique, so the rooting never changes it.  Inside a later
+level every unused edge gets at most one augmentation attempt: a breadth-first
+search over exchange moves (replace a forest edge by another edge whose
+endpoints that forest connects) that either finds a forest with room or proves
+none exists.  A label holds only the edge whose path labelled it: ``owner``,
+the one map from an edge to its forest, gives each edge's forest.  An
+augmenting chain keeps the size of every forest it passes through and grows
+only the newest, so the older forests stay spanning trees and only the newest
+can receive: a dequeued edge whose ends have different roots there ends the
+search before it labels anything.  Each search keeps one union-find per
+forest, ``jump``, from a vertex to an ancestor whose path up to it this search
+has labelled.  A walk from both ends of an edge steps the deeper end: across a
+labelled stretch by ``jump`` with path halving, else across its parent edge,
+which it labels.  So a search walks each forest edge at most once and labels a
+path's new edges in path order: the first end's side going up, then the second
+end's side coming down.  A failed search merges the endpoints of every edge it
+labelled into one clump (Roskind and Tarjan, 1985); a clump is connected
+inside every forest and no later augmentation touches its edges, so an edge
+with both endpoints in one clump is rejected without a search.  Clumps are
+flat labels: clump[v] is v's block id, read in one comparison, and a merge
+relabels the smaller block from its member list.  A search labels an edge
+inside a clump but does not expand it: its path in every forest stays inside
+the clump, so it can neither end the search nor label an edge outside the
+clump, and the search keeps its terminal, exchange chain and clumps.  The
+clumps of the level that fails are the Tutte/Nash-Williams partition
+certifying the bound.
 ``treepack oracle`` runs here.
 """
 
@@ -75,29 +81,6 @@ class _ForestFamily:
         self.depth.append([0] * self.n)
         self.root.append(list(range(self.n)))
         self.span.append([1] * self.n)
-
-    def path_in(self, i: int, a: int, b: int) -> list[Edge] | None:
-        """Edges of the a-b path in forest i, or None if a,b are separated."""
-        parent, depth = self.parent[i], self.depth[i]
-        up: list[Edge] = []
-        down: list[Edge] = []
-        while depth[a] > depth[b]:
-            p = parent[a]
-            up.append((a, p) if a < p else (p, a))
-            a = p
-        while depth[b] > depth[a]:
-            p = parent[b]
-            down.append((b, p) if b < p else (p, b))
-            b = p
-        while a != b:
-            p, q = parent[a], parent[b]
-            if p < 0:
-                return None
-            up.append((a, p) if a < p else (p, a))
-            down.append((b, q) if b < q else (q, b))
-            a, b = p, q
-        down.reverse()
-        return up + down
 
     def _hang(self, i: int, v: int, p: int) -> int:
         """Re-root v's tree in forest i at v, below p (if p >= 0), relabel its
@@ -155,22 +138,36 @@ class _ForestFamily:
         label: dict[Edge, Edge | None] = {e0: None}
         queue = deque([e0])
         newest = len(self.adj) - 1
+        jumps: list[dict[int, int]] = [{} for _ in self.adj]
         while queue:
             f = queue.popleft()
             a, b = f
             own = self.owner.get(f)
-            if own != newest:
-                last = self.path_in(newest, a, b)
-                if last is None:
-                    return f, label
+            if own != newest and self.root[newest][a] != self.root[newest][b]:
+                return f, label
             for i in range(newest + 1):
                 if i == own:
                     continue
-                for g in last if i == newest else self.path_in(i, a, b):
-                    if g not in label:
-                        label[g] = f
-                        if clump[g[0]] != clump[g[1]]:
-                            queue.append(g)
+                parent, depth, jump = self.parent[i], self.depth[i], jumps[i]
+                x, y = a, b
+                up: list[Edge] = []
+                down: list[Edge] = []
+                xs, ys = up, down           # the edges stepped above x and y
+                while x != y:
+                    if depth[x] < depth[y]:
+                        x, y, xs, ys = y, x, ys, xs
+                    # left to right: jump[x] is written before x moves
+                    if (p := jump.get(x, x)) != x:   # labelled: path halving
+                        jump[x] = x = jump.get(p, p)
+                    else:
+                        p = parent[x]
+                        xs.append((x, p) if x < p else (p, x))
+                        jump[x] = x = p
+                down.reverse()
+                for g in up + down:
+                    label[g] = f
+                    if clump[g[0]] != clump[g[1]]:
+                        queue.append(g)
         return None, label
 
     def augment(self, f: Edge, label: dict[Edge, Edge | None]) -> None:

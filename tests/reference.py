@@ -1,9 +1,10 @@
 """Independent references the tests check treepack against.
 
 Each is slow or small-scale on purpose: a connected-components search, a
-one-cycle test, a leaf split that scans for each leaf, an exhaustive partition
-search, and the graphs of the catalogued closed forms with a check of one row
-against the exact oracle.
+one-cycle test, a leaf split that scans for each leaf, an exchange search that
+walks every forest path in full, an exhaustive partition search, and the graphs
+of the catalogued closed forms with a check of one row against the exact
+oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 from treepack.catalogue import (complete, complete_multipartite, cycle,
                                 hypercube, proposition_value)
 from treepack.core import ConstructionError, Edge, Graph, InputError, SizeError
-from treepack.oracle import TutteCertificate, max_packing
+from treepack.oracle import TutteCertificate, _ForestFamily, max_packing
 from treepack.products import cartesian
 from treepack.verify import Check, VerificationReport
 
@@ -85,6 +86,55 @@ def leaf_split_by_scan(n: int, tree: Iterable[Edge]
         alive.remove(leaf)
     subtree = tuple(e for e in tree if e not in deleted)
     return subtree, frozenset(alive), tuple(sorted(deleted))
+
+
+def path_in(family: _ForestFamily, i: int, a: int, b: int) -> list[Edge] | None:
+    """Edges of the a-b path in forest i, or None if a,b are separated:
+    a's side going up, then b's side from the meeting vertex down."""
+    parent, depth = family.parent[i], family.depth[i]
+    up: list[Edge] = []
+    down: list[Edge] = []
+    while depth[a] > depth[b]:
+        p = parent[a]
+        up.append((a, p) if a < p else (p, a))
+        a = p
+    while depth[b] > depth[a]:
+        p = parent[b]
+        down.append((b, p) if b < p else (p, b))
+        b = p
+    while a != b:
+        p, q = parent[a], parent[b]
+        if p < 0:
+            return None
+        up.append((a, p) if a < p else (p, a))
+        down.append((b, q) if b < q else (q, b))
+        a, b = p, q
+    down.reverse()
+    return up + down
+
+
+def reference_search(family: _ForestFamily, e0: Edge, clump: list[int]
+                     ) -> tuple[Edge | None, dict[Edge, Edge | None]]:
+    """``_ForestFamily.search`` that walks each forest's whole path at every
+    dequeued edge and skips the edges it has already labelled."""
+    label: dict[Edge, Edge | None] = {e0: None}
+    queue = deque([e0])
+    newest = len(family.adj) - 1
+    while queue:
+        f = queue.popleft()
+        a, b = f
+        own = family.owner.get(f)
+        if own != newest and path_in(family, newest, a, b) is None:
+            return f, label
+        for i in range(newest + 1):
+            if i == own:
+                continue
+            for g in path_in(family, i, a, b):
+                if g not in label:
+                    label[g] = f
+                    if clump[g[0]] != clump[g[1]]:
+                        queue.append(g)
+    return None, label
 
 
 def tutte_bruteforce(g: Graph) -> TutteCertificate:

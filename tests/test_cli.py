@@ -512,7 +512,7 @@ def test_table_reports_a_failing_row(capsys, monkeypatch):
         "  !! oracle 2 != closed form 5",
         "K5 x C4           -     2     3      yes  bound<sigma"
         "  !! expected tight, bound 2 != oracle 3",
-        "K4 x K4           -     3     2      yes  bound<sigma"
+        "K4 x K4           -     3     2      yes  bound>sigma"
         "  !! bound 3 exceeds oracle 2"]
     assert "strict:" not in err
     code, out, _ = run(capsys, "table", "--format", "json")

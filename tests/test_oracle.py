@@ -16,7 +16,7 @@ from treepack.oracle import _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing
 
-from reference import tutte_bruteforce
+from reference import reference_search, tutte_bruteforce
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:
@@ -313,6 +313,46 @@ def test_clump_pruning_changes_no_search_result(monkeypatch):
     assert max(pruned) > 0          # some search left an edge unexpanded
 
 
+class CountedClump(list):
+    """A clump list that counts its reads and fails past `budget` of them."""
+
+    def __init__(self, clump: list[int], budget: int):
+        super().__init__(clump)
+        self.reads, self.budget = 0, budget
+
+    def __getitem__(self, v):
+        self.reads += 1
+        assert self.reads <= self.budget, "a search labelled more than m edges"
+        return super().__getitem__(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32))
+def test_search_matches_reference_search(n, seed):
+    # Every search ends at the same edge as the full-path reference and makes
+    # the same labels in the same order.  A search reads both ends' clumps once
+    # per label it writes, so the read count says no edge was labelled twice;
+    # the budget turns a search that relabels without end into a failure.
+    g = random_connected(random.Random(seed), n)
+    search = _ForestFamily.search
+    seen = {"searches": 0}
+
+    def checked(self, e0, clump):
+        want_f, want_label = reference_search(self, e0, clump)
+        counted = CountedClump(clump, 2 * g.m)
+        f, label = search(self, e0, counted)
+        assert f == want_f
+        assert list(label.items()) == list(want_label.items())
+        assert counted.reads == 2 * (len(label) - 1)
+        seen["searches"] += 1
+        return f, label
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ForestFamily, "search", checked)
+        max_packing(g)
+    assert seen["searches"] > 0 or g.m == n - 1
+
+
 def components(n: int, edges) -> list[int]:
     """A component label per vertex, by union-find over `edges`."""
     label = list(range(n))
@@ -412,4 +452,4 @@ def test_forest_bookkeeping_invariants(data):
                 assert family.root[j][v] == top
             for x in range(n):
                 for y in range(x + 1, n):
-                    assert (family.path_in(j, x, y) is None) == (comp[x] != comp[y])
+                    assert (family.root[j][x] == family.root[j][y]) == (comp[x] == comp[y])
