@@ -75,14 +75,6 @@ def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _find(parent: Any, v: int) -> int:
-    """v's union-find root, halving the path: writes only to non-roots."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def root_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """The breadth-first spanning tree of a connected (0..n-1, edges) rooted
     at vertex 0: its edges as (parent, child), in discovery order of the

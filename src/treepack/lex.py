@@ -76,11 +76,12 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     # the BFS orientation only fixes which product edges each tree gets, and
     # dropping it would change the pinned lex outputs.
     oriented = [root_tree(n1, t) for t in pack_g.trees]
+    sections = product.matching_copy(pack_g.trees[k - 1], n2)
 
     def section_tree(t: int, v: int) -> list[Edge]:
-        """Every fiber copy of H-tree t, joined by the cross-section copy at v
-        of the held-back last G-tree."""
-        edges = product.cross_section_copy(pack_g.trees[k - 1], v)
+        """Every fiber copy of H-tree t, joined by the cross section at v of
+        the held-back last G-tree: slice [v::n2] of its identity matching."""
+        edges = sections[v::n2]
         for u in range(n1):
             edges.extend(product.fiber_copy(pack_h.trees[t], u))
         return edges

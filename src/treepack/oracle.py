@@ -32,7 +32,8 @@ inside a clump but does not expand it: its path in every forest stays inside
 the clump, so it can neither end the search nor label an edge outside the
 clump, and the search keeps its terminal, exchange chain and clumps.  The
 clumps of the level that fails are the Tutte/Nash-Williams partition
-certifying the bound.
+certifying the bound.  The last full level's forests leave through
+``verify.verified_packing``, as a construction's trees do.
 ``treepack oracle`` runs here.
 """
 
@@ -44,6 +45,7 @@ from typing import Any, NamedTuple
 
 from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
                    _dump, _read_text, _write_out, read_graph)
+from .verify import _packing_record, verified_packing
 
 class TutteCertificate(NamedTuple):
     """A vertex partition certifying an upper bound on the packing number.
@@ -180,12 +182,12 @@ class _ForestFamily:
             f, i = pred, j
         self.insert(f, i)
 
-    def snapshot(self, g: Graph) -> TreePacking:
+    def snapshot(self) -> list[list[Edge]]:
+        """Each forest's edges, in no particular order."""
         per: list[list[Edge]] = [[] for _ in self.adj]
         for e, i in self.owner.items():
             per[i].append(e)
-        trees = tuple(tuple(sorted(bucket)) for bucket in per)
-        return TreePacking(g, trees, method="oracle")
+        return per
 
 
 def max_packing(g: Graph) -> OracleResult:
@@ -200,7 +202,7 @@ def max_packing(g: Graph) -> OracleResult:
         if family.root[0][e[0]] != family.root[0][e[1]]:
             family.insert(e, 0)
     while True:
-        sigma, witness = len(family.adj), family.snapshot(g)
+        sigma, witness = len(family.adj), family.snapshot()
         family.add_forest()
         clump = list(range(g.n))
         members = [[v] for v in range(g.n)]
@@ -223,7 +225,8 @@ def max_packing(g: Graph) -> OracleResult:
         # a forest holds at most n-1 edges: the level failed iff one is short
         if len(family.owner) != len(family.adj) * (g.n - 1):
             break
-    return OracleResult(sigma, witness, _terminal_certificate(g, members, clump, sigma))
+    return OracleResult(sigma, verified_packing(g, witness, "oracle", sigma),
+                        _terminal_certificate(g, members, clump, sigma))
 
 
 def _terminal_certificate(g: Graph, members: list[list[int]], clump: list[int],
@@ -246,25 +249,15 @@ def _terminal_certificate(g: Graph, members: list[list[int]], clump: list[int],
 
 
 def cmd_oracle(args: SimpleNamespace) -> tuple[str, Any, dict, bool]:
-    from .verify import _packing_record, verify_packing
     g = read_graph(_read_text(args.file))
     result = max_packing(g)
-    verified = verify_packing(g, result.packing).overall
-    record = {
-        "sigma": result.sigma,
-        "certificate": {
-            "partition": result.certificate.partition,
-            "crossing_count": result.certificate.crossing_count,
-            "bound": result.certificate.bound,
-        },
-        "packing": _packing_record(args.file, result.packing, verified),
-    }
+    cert = result.certificate
+    record = {"sigma": result.sigma, "certificate": cert._asdict(),
+              "packing": _packing_record(args.file, result.packing)}
     if args.out:   # the record goes to the file; the summary is still printed
         _write_out(args.out, _dump(record) + "\n")
-    cert = result.certificate
     text = (f"sigma = {result.sigma}\n"
             f"certificate: {len(cert.partition)} blocks, "
             f"{cert.crossing_count} crossing edges, bound {cert.bound}\n"
-            f"packing: {len(result.packing.trees)} trees, "
-            f"verified={str(verified).lower()}\n")
-    return text, record, {"sigma": result.sigma, "bound": cert.bound}, verified
+            f"packing: {len(result.packing.trees)} trees, verified=true\n")
+    return text, record, {"sigma": result.sigma, "bound": cert.bound}, True

@@ -34,16 +34,12 @@ class ProductGraph(NamedTuple):
         base = u * self.n2
         return [(base + a, base + b) for a, b in edges]
 
-    def cross_section_copy(self, edges: Iterable[Edge], v: int) -> list[Edge]:
-        """First-factor edges copied into the cross-section at second coordinate v."""
-        n2 = self.n2
-        return [(a * n2 + v, b * n2 + v) for a, b in edges]
-
     def matching_copy(self, oriented_edges: Iterable[Edge], j: int) -> list[Edge]:
         """Matching j of the bundle over each (parent, child) first-factor edge.
 
         Parent copy t meets child copy (t + j) mod n2, for t = 0..n2-1 in
-        that order.  Matching n2 is the identity (the cartesian rungs);
+        that order.  Matching n2 is the identity (the cartesian rungs): its
+        slice [v::n2] is the cross section at second coordinate v;
         matchings 2r-1 and 2r together form one Hamiltonian cycle of the
         lexicographic bundle K_{n2,n2} (Laskar and Auerbach).
         """
@@ -120,7 +116,7 @@ def _pack(kind: str, g: Graph, h: Graph, paths: Sequence[str] = ()) -> TreePacki
     """The verified construction for this product kind from the packing files
     given for G, then H; a factor without one gets the oracle's packing, or
     the single empty tree of a one-vertex graph.  Imports only what it runs."""
-    from .verify import _load_packing
+    from .verify import _load_packing, verified_packing
     packings = [_load_packing(path_, f) for path_, f in zip(paths, (g, h))]
     if kind == CARTESIAN:
         from .cartesian import pack_cartesian as construct
@@ -128,7 +124,7 @@ def _pack(kind: str, g: Graph, h: Graph, paths: Sequence[str] = ()) -> TreePacki
         from .lex import _check_sizes, pack_lex as construct
     for f in (g, h)[len(packings):]:
         if f.n == 1:
-            packings.append(TreePacking(f, ((),)))
+            packings.append(verified_packing(f, [[]], "user", 1))
             continue
         if kind == LEXICOGRAPHIC:
             _check_sizes(g, h)   # lex's own refusal comes before the oracle's work
@@ -148,7 +144,7 @@ def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
     packed = _pack(args.kind, g, h, paths)
     count = len(packed.trees)
     graph_ref = os.path.basename(args.out) + ".graph" if args.out else "-"
-    record = _packing_record(graph_ref, packed, True)
+    record = _packing_record(graph_ref, packed)
     if args.out:
         product = ProductGraph(args.kind, packed.host, g.n, h.n)
         _write_out(args.out + ".graph", write_product(product))

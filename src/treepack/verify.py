@@ -2,8 +2,9 @@
 
 Verification never trusts how an object was built: every check recomputes the
 property from the edge lists and carries a concrete witness on failure.  It
-is the bottom layer: it imports only ``core``.  ``treepack verify`` runs here,
-and every packing file is read and its record made here.
+is the bottom layer: it imports only ``core``.  ``treepack verify`` runs here.
+Every ``TreePacking`` is made here: ``verified_packing`` ends each construction
+and the oracle, ``_load_packing`` reads a packing file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .core import (ConstructionError, ContractError, Edge, Graph, ParseError,
-                   TreePacking, _find, _read_text, read_graph)
+                   TreePacking, _read_text, read_graph)
 
 
 class Check(NamedTuple):
@@ -48,6 +49,14 @@ class VerificationReport(NamedTuple):
                 for c in self.checks
             ],
         }
+
+
+def _find(parent: Any, v: int) -> int:
+    """v's union-find root, halving the path: writes only to non-roots."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 class _Roots(dict):
@@ -136,9 +145,9 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
 
 def verified_packing(host: Graph, trees: list[list[Edge]], method: str,
                      expected: int) -> TreePacking:
-    """How every construction ends: each tree's edges, in any order, sorted
-    into the packing; ConstructionError unless there are ``expected`` trees
-    and ``verify_packing`` passes them."""
+    """How every construction and the oracle end: each tree's edges, in any
+    order, sorted into the packing; ConstructionError unless there are
+    ``expected`` trees and ``verify_packing`` passes them."""
     if len(trees) != expected:
         raise ConstructionError(
             f"internal: built {len(trees)} trees, expected {expected}")
@@ -167,15 +176,15 @@ def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
             raise ContractError(f"{role}: {check.name} fails: {check.witness}")
 
 
-def _packing_record(graph_ref: str, packing: TreePacking,
-                    verified: bool) -> dict[str, Any]:
-    """A packing file; its bound is its tree count (sigma for the oracle)."""
+def _packing_record(graph_ref: str, packing: TreePacking) -> dict[str, Any]:
+    """A packing file of a verified packing; its bound is its tree count
+    (sigma for the oracle)."""
     return {
         "graph": graph_ref,
         "method": packing.method,
         "bound": len(packing.trees),
         "trees": packing.trees,
-        "verified": verified,
+        "verified": True,
     }
 
 

@@ -1,5 +1,5 @@
 """The tree helpers ``core.root_tree`` and ``cartesian.leaf_split``, and
-``ProductGraph``'s fiber, cross-section and matching copies.  The file keeps
+``ProductGraph``'s fiber and matching copies.  The file keeps
 the name of the module these once lived in, so its test ids stay stable."""
 
 import random
@@ -138,20 +138,20 @@ def test_matchings_partition_bundle():
 
 def test_identity_matching_is_cross_section():
     p = lexicographic(path(2), path(3))
-    assert set(p.matching_copy([(0, 1)], 3)) == {(0, 3), (1, 4), (2, 5)}
-    assert (p.matching_copy([(0, 1)], 3)
-            == p.cross_section_copy([(0, 1)], 0)
-            + p.cross_section_copy([(0, 1)], 1)
-            + p.cross_section_copy([(0, 1)], 2))
+    identity = p.matching_copy([(0, 1)], 3)
+    assert set(identity) == {(0, 3), (1, 4), (2, 5)}
+    assert [identity[v::3] for v in range(3)] == [[(0, 3)], [(1, 4)], [(2, 5)]]
     # over a relabelled (min, max) spanning tree, the identity matching is
-    # every cross-section copy, as pack_cartesian takes them
+    # every cross section, as pack_cartesian takes them, and its slice
+    # [v::n2] is the cross section at v, as pack_lex takes it
     rng = random.Random(5)
     n1, n2 = 9, 4
     label = rng.sample(range(n1), n1)
     tree = as_tree((label[rng.randrange(v)], label[v]) for v in range(1, n1))
     p = cartesian(path(n1), path(n2))
-    assert sorted(p.matching_copy(tree, n2)) == sorted(
-        e for v in range(n2) for e in p.cross_section_copy(tree, v))
+    identity = p.matching_copy(tree, n2)
+    for v in range(n2):
+        assert identity[v::n2] == [(a * n2 + v, b * n2 + v) for a, b in tree]
 
 
 def test_perfect_cycles_cover_even_bundle():

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from treepack.catalogue import (complete, complete_minus_edge,
                                 complete_multipartite, cycle, hypercube, path)
 from treepack.core import (ConstructionError, Graph, InputError, SizeError,
-                           _find, read_graph)
+                           read_graph)
 from treepack.oracle import _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
-from treepack.verify import verify_packing
+from treepack.verify import _find, verify_packing
 
 from reference import reference_search, tutte_bruteforce
 
@@ -71,6 +71,26 @@ def test_max_packing_rejects_bad_input():
         max_packing(path(1))
     with pytest.raises(InputError):
         max_packing(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_corrupt_witness_raises_construction_error(monkeypatch):
+    """max_packing ends in verified_packing: forests that share an edge are
+    an internal bug, raised, never a returned packing."""
+    snapshot = _ForestFamily.snapshot
+
+    def repeat_an_edge(self):
+        per = snapshot(self)
+        if len(per) > 1:   # forest 1 swaps its first edge for forest 0's
+            per[1] = per[0][:1] + per[1][1:]
+        return per
+
+    monkeypatch.setattr(_ForestFamily, "snapshot", repeat_an_edge)
+    with pytest.raises(ConstructionError) as exc:
+        max_packing(complete(4))
+    lines = str(exc.value).splitlines()
+    assert lines[0] == "internal: constructed packing invalid"
+    assert any(line.startswith("  FAIL trees pairwise edge-disjoint")
+               for line in lines)
 
 
 def test_too_few_edges_rejected_before_allocating():

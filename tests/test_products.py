@@ -67,8 +67,12 @@ def test_fiber_and_cross_section():
     assert (p.n1, p.n2) == (3, 4)
     assert p.fiber_copy(h.edges, 1) == [(4, 5), (4, 7), (5, 6), (6, 7)]
     assert set(p.fiber_copy(h.edges, 1)) <= set(p.graph.edges)
-    assert p.cross_section_copy(g.edges, 2) == [(2, 6), (6, 10)]
-    assert set(p.cross_section_copy(g.edges, 0)) == {(0, 4), (4, 8)}
+    # slice [v::n2] of the identity matching is the cross section at v
+    sections = p.matching_copy(g.edges, p.n2)
+    assert sections[2::4] == [(2, 6), (6, 10)]
+    assert set(sections[0::4]) == {(0, 4), (4, 8)}
+    for v in range(p.n2):
+        assert sections[v::4] == [(a * 4 + v, b * 4 + v) for a, b in g.edges]
 
 
 def _cross_edges(p: ProductGraph) -> set:

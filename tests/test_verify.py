@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treepack
 from treepack.cartesian import cartesian_bound, pack_cartesian
 from treepack.catalogue import complete, cycle, path, proposition_value
 from treepack.core import ConstructionError, Graph, SizeError, TreePacking
@@ -147,6 +149,18 @@ def test_verified_packing_is_the_construction_exit_check():
         verified_packing(g, flipped, "constructed-test", 2)
     assert f"  FAIL tree 0: edges belong to host  [{(b, a)}]" in \
         str(exc.value).splitlines()
+
+
+def test_only_verify_builds_a_tree_packing():
+    """Every packing in src/ is made in verify.py: a built one by
+    verified_packing, a read one by _load_packing."""
+    calls = []
+    for path in sorted(Path(treepack.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "TreePacking" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(path.name)
+    assert calls == ["verify.py", "verify.py"]
 
 
 def test_verify_packing_mutations_fail():
