@@ -8,11 +8,16 @@ Run as a script, it checks every row of one treepack command in child
 processes, each row in a fresh output directory::
 
     python tests/commands.py treepack
-    PYTHONPATH="$PWD/src" python tests/commands.py python -m treepack.cli
+    PYTHONPATH=src python tests/commands.py python -m treepack.cli
+
+The children run in ``tests/golden`` with the caller's environment, except
+that each relative ``PYTHONPATH`` entry is made absolute against the caller's
+working directory, so ``src`` above still names the checkout's package.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -61,6 +66,15 @@ ROWS = [Row(int(words[0]), words[1], tuple(words[2:]))
         if words and words[0][0] != "#"]
 
 
+def child_env() -> dict[str, str]:
+    """The caller's environment with every PYTHONPATH entry made absolute."""
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
+    return env
+
+
 def main(command: list[str]) -> int:
     """Run ``command + row.argv_in(out)`` for every row in the golden
     directory; print each failing row and the pass count, and return 1 if any
@@ -68,12 +82,12 @@ def main(command: list[str]) -> int:
     if not command or not __debug__:   # Row.check asserts
         print("usage: python tests/commands.py CMD... (not under -O)", file=sys.stderr)
         return 2
-    passed = 0
+    passed, env = 0, child_env()
     for row in ROWS:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             done = subprocess.run([*command, *row.argv_in(out)], cwd=GOLDEN,
-                                  capture_output=True, timeout=300)
+                                  env=env, capture_output=True, timeout=300)
             try:
                 row.check(out, done.returncode, done.stdout, done.stderr)
                 passed += 1

@@ -1,16 +1,22 @@
-"""Independent references the tests check treepack against.
+"""Independent references the tests check treepack against, and the tests'
+random graphs.
 
-Each is slow or small-scale on purpose: a connected-components search, a
-one-cycle test, a leaf split that scans for each leaf, an exchange search that
-walks every forest path in full, an exhaustive partition search, and the graphs
-of the catalogued closed forms with a check of one row against the exact
-oracle.
+Each reference is slow or small-scale on purpose: a connected-components
+search, a one-cycle test, a leaf split that scans for each leaf, an exchange
+search that walks every forest path in full, an exhaustive partition search,
+and the graphs of the catalogued closed forms with a check of one row against
+the exact oracle.  Every random graph a test draws comes from ``random_tree``
+or ``random_connected`` on a seeded ``random.Random``, or from the Hypothesis
+strategy ``connected_graphs(min_n, max_n)``.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Iterable
+
+from hypothesis import strategies as st
 
 from treepack.catalogue import (complete, complete_multipartite, cycle,
                                 hypercube, proposition_value)
@@ -23,6 +29,31 @@ from treepack.verify import Check, VerificationReport
 def as_tree(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """A tree as treepack holds it: the sorted tuple of its (min, max) edges."""
     return tuple(sorted((a, b) if a < b else (b, a) for a, b in edges))
+
+
+def random_tree(rng: random.Random, n: int) -> tuple[Edge, ...]:
+    """A random spanning tree of 0..n-1: each v >= 1 joins a random u < v."""
+    return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
+
+
+def random_connected(rng: random.Random, n: int) -> Graph:
+    """Random spanning tree plus a random subset of the remaining pairs."""
+    edges = set(random_tree(rng, n))
+    others = [(a, b) for a in range(n) for b in range(a + 1, n)
+              if (a, b) not in edges]
+    rng.shuffle(others)
+    edges.update(others[:rng.randint(0, len(others))])
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def connected_graphs(draw, min_n: int, max_n: int) -> Graph:
+    """A random spanning tree on min_n..max_n vertices plus random edges."""
+    n = draw(st.integers(min_n, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
 
 
 def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:

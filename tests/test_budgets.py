@@ -24,7 +24,7 @@ from treepack.lex import (BALANCED, G_RICH, H_RICH, LexPlan, lex_plan,
 from treepack.oracle import max_packing
 from treepack.products import LEXICOGRAPHIC, ProductGraph
 
-from reference import components, is_one_cycle
+from reference import components, is_one_cycle, random_tree
 
 CARTESIAN_MAX_N = 60
 LEX_MAX_N = 40
@@ -61,16 +61,12 @@ def _leftover_rungs_suffice(n1: int, ell: int, subtree_left: int,
         (subtree_left, keep_subtree), (forest_left, keep_forest)) if bundles)
 
 
-def _random_tree(n: int, rng: random.Random) -> tuple:
-    return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
-
-
 def _relabelled_tree(n: int, rng: random.Random) -> tuple:
     """A random tree whose edges, read as (min, max), are not all oriented
     away from vertex 0."""
     label = rng.sample(range(n), n)
     return tuple(sorted((min(label[a], label[b]), max(label[a], label[b]))
-                        for a, b in _random_tree(n, rng)))
+                        for a, b in random_tree(rng, n)))
 
 
 def test_cartesian_spare_fibers_lemma():
@@ -86,7 +82,7 @@ def test_cartesian_leftover_rungs_lemma():
     rng = random.Random(7)
     for n2 in range(1, CARTESIAN_MAX_N + 1):
         trees = {tuple((v, v + 1) for v in range(n2 - 1)),
-                 tuple((0, v) for v in range(1, n2)), _random_tree(n2, rng)}
+                 tuple((0, v) for v in range(1, n2)), random_tree(rng, n2)}
         for tree in trees:
             kept = sorted(leaf_split(n2, tree).subtree_vertices)
             assert len(kept) == (n2 + 1) // 2

@@ -12,7 +12,8 @@ from treepack.catalogue import complete, cycle, path
 from treepack.core import Graph, normalize_edge, root_tree
 from treepack.products import cartesian, lexicographic
 
-from reference import as_tree, components, is_one_cycle, leaf_split_by_scan
+from reference import (as_tree, components, is_one_cycle, leaf_split_by_scan,
+                       random_tree)
 
 
 def _forest_components(n: int, sp) -> tuple:
@@ -87,7 +88,7 @@ def test_leaf_split_invariants_random_trees():
     rng = random.Random(99)
     for _ in range(30):
         n = rng.randint(1, 12)
-        edges = sorted((rng.randrange(v), v) for v in range(1, n))
+        edges = random_tree(rng, n)
         host = Graph.from_edges(n, edges)
         sp = leaf_split(n, host.edges)
         assert len(sp.subtree_vertices) == (n + 1) // 2

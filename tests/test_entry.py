@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import commands
 import treepack
 from commands import GOLDEN, ROWS
 from treepack.cli import main
@@ -106,6 +107,17 @@ def test_child_process_exit_codes(tmp_path, packing, code, head):
     assert done.returncode == code
     assert done.stdout.startswith(head)
     assert done.stderr.startswith(b"error: k1.json: ") is (code == 2)
+
+
+def test_commands_script_takes_a_relative_pythonpath(monkeypatch, capsys):
+    """``PYTHONPATH=src python tests/commands.py python -m treepack.cli`` from
+    the checkout's root: the rows' children run in tests/golden, where the
+    relative ``src`` would name nothing."""
+    monkeypatch.chdir(SRC.parent)
+    monkeypatch.setenv("PYTHONPATH", SRC.name)
+    monkeypatch.setattr(commands, "ROWS", ROWS[:1])
+    assert commands.main([sys.executable, "-m", "treepack.cli"]) == 0
+    assert capsys.readouterr().out == "1 of 1 rows pass\n"
 
 
 @pytest.mark.parametrize("argv, stderr", [

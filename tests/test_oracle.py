@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import random
 import tracemalloc
@@ -14,19 +15,10 @@ from treepack.core import (ConstructionError, Graph, InputError, SizeError,
                            read_graph)
 from treepack.oracle import _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
-from treepack.verify import _find, verify_packing
+from treepack.verify import verify_packing
 
-from reference import reference_search, tutte_bruteforce
-
-
-def random_connected(rng: random.Random, n: int) -> Graph:
-    """Random spanning tree plus a random subset of the remaining pairs."""
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    others = [(a, b) for a in range(n) for b in range(a + 1, n)
-              if (a, b) not in edges]
-    rng.shuffle(others)
-    edges.update(others[:rng.randint(0, len(others))])
-    return Graph.from_edges(n, sorted(edges))
+from reference import (components, connected_graphs, random_connected,
+                       random_tree, reference_search, tutte_bruteforce)
 
 
 def edge_bound(g: Graph) -> int:
@@ -187,17 +179,8 @@ def test_oracle_deterministic():
     assert a.certificate == b.certificate
 
 
-@st.composite
-def connected_graphs(draw) -> Graph:
-    n = draw(st.integers(2, 9))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
-
-
 @settings(max_examples=100, deadline=None)
-@given(connected_graphs())
+@given(connected_graphs(2, 9))
 def test_oracle_certificate_and_packing_property(g):
     result = max_packing(g)
     assert result.sigma == tutte_bruteforce(g).bound
@@ -275,7 +258,7 @@ def dense_connected(rng: random.Random, n: int) -> Graph:
     """A random spanning tree plus each other pair with probability 0.5-0.95:
     the shape of the dense factors `pack` runs the oracle on."""
     keep = rng.uniform(0.5, 0.95)
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges = set(random_tree(rng, n))
     edges.update((a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < keep)
     return Graph.from_edges(n, sorted(edges))
@@ -305,6 +288,18 @@ def test_oracle_corpus_outputs_pinned():
     assert got == want
 
 
+def test_oracle_scale_child_digest_is_oracle_digest():
+    # tools/oracle_scale.py calls two checkouts' outputs the same when its
+    # children's digests agree, so its child must hash as oracle_digest does
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "oracle_scale", root / "tools" / "oracle_scale.py")
+    oracle_scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle_scale)
+    record = oracle_scale.run_once(root, "hypercube(4)")
+    assert (record["sigma"], record["digest"]) == (2, oracle_digest(hypercube(4)))
+
+
 def test_clump_pruning_changes_no_search_result(monkeypatch):
     # Each search runs a second time with the identity clump, which expands
     # every labelled edge; both must end at the same edge and give every edge
@@ -319,8 +314,7 @@ def test_clump_pruning_changes_no_search_result(monkeypatch):
         assert f == f_all
 
         def between(lab):
-            return {e: x for e, x in lab.items()
-                    if _find(clump, e[0]) != _find(clump, e[1])}
+            return {e: x for e, x in lab.items() if clump[e[0]] != clump[e[1]]}
         assert between(label) == between(label_all)
         pruned.append(len(label_all) - len(label))
         return f, label
@@ -373,12 +367,10 @@ def test_search_matches_reference_search(n, seed):
     assert seen["searches"] > 0 or g.m == n - 1
 
 
-def components(n: int, edges) -> list[int]:
-    """A component label per vertex, by union-find over `edges`."""
-    label = list(range(n))
-    for a, b in edges:
-        label[_find(label, a)] = _find(label, b)
-    return [_find(label, v) for v in range(n)]
+def component_labels(n: int, edges) -> list[int]:
+    """A component label per vertex: the smallest vertex of its component."""
+    label = {v: block[0] for block in components(n, edges) for v in block}
+    return [label[v] for v in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,11 +380,11 @@ def test_older_forests_stay_spanning_trees(n, seed):
     # if every older forest is a spanning tree after each augment; level 1
     # runs no search and must be the first-fit forest of the edge list.
     g = random_connected(random.Random(seed), n)
-    first_fit, uf = [], list(range(n))
-    for a, b in g.edges:
-        ra, rb = _find(uf, a), _find(uf, b)
-        if ra != rb:
-            uf[ra] = rb
+    first_fit, label = [], list(range(n))
+    for a, b in g.edges:           # an edge joins two labels, which merge
+        if label[a] != label[b]:
+            old, new = label[a], label[b]
+            label = [new if x == old else x for x in label]
             first_fit.append((a, b))
     augment, add_forest = _ForestFamily.augment, _ForestFamily.add_forest
     seen = {"level 1": 0, "augments": 0}
@@ -412,7 +404,7 @@ def test_older_forests_stay_spanning_trees(n, seed):
         for j in range(len(self.adj) - 1):
             tree = forest(self, j)
             assert len(tree) == n - 1
-            assert len(set(components(n, tree))) == 1
+            assert len(components(n, tree)) == 1
         seen["augments"] += 1
 
     with pytest.MonkeyPatch.context() as mp:
@@ -442,7 +434,7 @@ def test_forest_bookkeeping_invariants(data):
         if a == b:
             continue
         e = (min(a, b), max(a, b))
-        comp = components(n, forests[i])
+        comp = component_labels(n, forests[i])
         if e in forests[i]:
             assert family.remove(e) == i
             forests[i].discard(e)
@@ -455,7 +447,7 @@ def test_forest_bookkeeping_invariants(data):
             family.insert(e, i)
             forests[i].add(e)
         for j in range(k):
-            comp = components(n, forests[j])
+            comp = component_labels(n, forests[j])
             parent, depth, span = family.parent[j], family.depth[j], family.span[j]
             roots = [v for v in range(n) if parent[v] < 0]
             assert sorted(comp[r] for r in roots) == sorted(set(comp))

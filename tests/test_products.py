@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treepack.catalogue import complete, cycle, path
 from treepack.core import Graph, InputError, SizeError, read_graph, write_graph
 from treepack.products import (ProductGraph, cartesian, lexicographic,
                                write_product)
+
+from reference import connected_graphs, random_connected
 
 
 def test_cartesian_small():
@@ -21,8 +22,8 @@ def test_cartesian_small():
 def test_cartesian_edge_count_law():
     rng = random.Random(7)
     for _ in range(20):
-        g = _random_connected(rng, rng.randint(2, 6))
-        h = _random_connected(rng, rng.randint(2, 6))
+        g = random_connected(rng, rng.randint(2, 6))
+        h = random_connected(rng, rng.randint(2, 6))
         p = cartesian(g, h)
         assert p.graph.m == g.n * h.m + h.n * g.m
         q = cartesian(h, g)
@@ -131,26 +132,8 @@ def test_product_size_is_checked_before_building():
     assert cartesian(complete(40), cycle(40)).graph.m == 40 * 40 + 780 * 40
 
 
-def _random_connected(rng: random.Random, n: int) -> Graph:
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    others = [(a, b) for a in range(n) for b in range(a + 1, n)
-              if (a, b) not in edges]
-    rng.shuffle(others)
-    edges.update(others[:rng.randint(0, len(others))])
-    return Graph.from_edges(n, sorted(edges))
-
-
-@st.composite
-def small_connected(draw) -> Graph:
-    n = draw(st.integers(1, 7))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
-
-
 @settings(max_examples=100, deadline=None)
-@given(small_connected(), small_connected())
+@given(connected_graphs(1, 7), connected_graphs(1, 7))
 def test_products_match_validated_construction(g, h):
     """The products skip Graph.from_edges; it must agree on their edge lists."""
     n2 = h.n

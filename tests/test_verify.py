@@ -17,8 +17,8 @@ from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import verified_packing, verify_packing
 
-from reference import (as_tree, components, proposition_graph,
-                       verify_proposition_row)
+from reference import (as_tree, components, connected_graphs,
+                       proposition_graph, verify_proposition_row)
 
 
 def _one_tree(host: Graph, t: tuple):
@@ -161,6 +161,26 @@ def test_only_verify_builds_a_tree_packing():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls.append(path.name)
     assert calls == ["verify.py", "verify.py"]
+
+
+def test_only_reference_draws_random_graphs():
+    """Every random tree, random connected graph and Hypothesis strategy of
+    graphs the tests draw from is defined once, in tests/reference.py; the
+    command-line strategies of test_cli.py name no Graph."""
+    defined = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            composite = any("composite" in (getattr(d, "id", None),
+                                            getattr(d, "attr", None))
+                            for d in node.decorator_list)
+            graphs = any(getattr(n, "id", None) == "Graph" for n in ast.walk(node))
+            if node.name in ("random_tree", "random_connected") or composite and graphs:
+                defined.append((path.name, node.name))
+    assert defined == [("reference.py", "random_tree"),
+                       ("reference.py", "random_connected"),
+                       ("reference.py", "connected_graphs")]
 
 
 def test_verify_packing_mutations_fail():
@@ -346,18 +366,8 @@ def test_report_rendering():
     assert all(c["passed"] for c in record["checks"])
 
 
-@st.composite
-def connected_factor(draw) -> Graph:
-    """A random spanning tree on 2..6 vertices plus random extra edges."""
-    n = draw(st.integers(2, 6))
-    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, sorted(tree | set(extra)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(connected_factor(), connected_factor())
+@given(connected_graphs(2, 6), connected_graphs(2, 6))
 def test_constructions_meet_bound_and_verify(g, h):
     """Both constructions on random factors: the promised tree count, a
     passing verify_packing, and never more trees than the product's sigma."""
