@@ -58,9 +58,7 @@ COMMANDS = {
                (("file", {}), OUT, FORMAT)),
     "verify": ("verify", "check a packing file against a graph",
                (("graphfile", {}), ("packingfile", {}), FORMAT)),
-    "table": ("catalogue", "closed form vs construction vs oracle", (("--strict", {
-        "action": "store_true", "default": False,
-        "help": "exit nonzero on any unexpected mismatch"}), FORMAT)),
+    "table": ("catalogue", "closed form vs construction vs oracle", (FORMAT,)),
 }
 
 
@@ -79,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse makes of a plain command line, else None: plain is
-    the command, exactly its positionals, then whole ``--option value`` pairs and
-    flags.  argparse parses all else, so its messages stay its own."""
+    the command, exactly its positionals, then whole ``--option value`` pairs.
+    argparse parses all else, so its messages stay its own."""
     if not argv or argv[0] not in COMMANDS:
         return None
     values: dict[str, Any] = {"command": argv[0]}
@@ -98,10 +96,10 @@ def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
             values[name], i = given if "nargs" in kw else given[0], end
         while words[i] in options:
             dest, kw = options[words[i]]
-            action = kw.get("action")
-            value = True if action == "store_true" else _value(words[i + 1], kw)
-            values[dest] = (values[dest] or []) + [value] if action == "append" else value
-            i += 1 if action == "store_true" else 2
+            value = _value(words[i + 1], kw)
+            if kw.get("action") == "append":
+                value = (values[dest] or []) + [value]
+            values[dest], i = value, i + 2
     except ValueError:
         return None
     return SimpleNamespace(**values) if i == len(argv) else None

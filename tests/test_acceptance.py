@@ -109,7 +109,7 @@ def test_criterion_3_loose_bound_flagged(capsys):
         ell = max_packing(cycle(4)).sigma
         assert cartesian_bound(k, ell) == 2
 
-        code = cli_main(["table", "--strict"])
+        code = cli_main(["table"])
         out = capsys.readouterr().out
         assert code == 0
         row = next(l for l in out.splitlines() if l.startswith("K5 x C4"))

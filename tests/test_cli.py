@@ -468,7 +468,7 @@ def test_oracle_rejects_disconnected(capsys, tmp_path):
 
 
 def test_table_reports_loose_bounds_without_failing(capsys):
-    code, out, _ = run(capsys, "table", "--strict")
+    code, out, _ = run(capsys, "table")
     assert code == 0
     lines = out.splitlines()
     k5row = next(l for l in lines if l.startswith("K5 x C4"))
@@ -481,7 +481,7 @@ def _one_failing_table_row(monkeypatch):
     """Every catalogue row passes, so a row with a wrong closed form is the
     only way to run the failure branch: K4 packs 2 trees, not 5."""
     from treepack import catalogue
-    row = catalogue.TableRow("K4", None, catalogue.complete(4), None, 5, None)
+    row = catalogue.TableRow("K4", None, catalogue.complete(4), None, 5, False)
     monkeypatch.setattr(catalogue, "table_rows", lambda: [row])
 
 
@@ -496,7 +496,7 @@ def test_table_reports_a_failing_row(capsys, monkeypatch):
         catalogue.TableRow("K5 x C4", CARTESIAN, catalogue.complete(5),
                            catalogue.cycle(4), None, True),
         catalogue.TableRow("K4 x K4", CARTESIAN, catalogue.complete(4),
-                           catalogue.complete(4), None, None)]
+                           catalogue.complete(4), None, False)]
     monkeypatch.setattr(catalogue, "table_rows", lambda: rows)
     exact = oracle.max_packing
 
@@ -505,7 +505,7 @@ def test_table_reports_a_failing_row(capsys, monkeypatch):
         return result._replace(sigma=result.sigma - 1) if g.n == 16 else result
     monkeypatch.setattr(oracle, "max_packing", one_short_on_k4xk4)
     code, out, err = run(capsys, "table")
-    assert code == 0
+    assert code == 1
     assert "!! oracle 2 != closed form 5" in out
     assert out.splitlines()[2:] == [
         "K4                5     -     2        -  no construction"
@@ -514,16 +514,29 @@ def test_table_reports_a_failing_row(capsys, monkeypatch):
         "  !! expected tight, bound 2 != oracle 3",
         "K4 x K4           -     3     2      yes  bound>sigma"
         "  !! bound 3 exceeds oracle 2"]
-    assert "strict:" not in err
-    code, out, _ = run(capsys, "table", "--format", "json")
-    assert code == 0
+    # the run record alone names the failing rows
+    assert len(err.splitlines()) == 1
+    failed = ["K4", "K5 x C4", "K4 x K4"]
+    record = json.loads(err)
+    assert record["verified"] is False and record["outputs"]["failed"] == failed
+    code, out, err = run(capsys, "table", "--format", "json")
+    assert code == 1
     assert json.loads(out)[0]["failures"] == ["oracle 2 != closed form 5"]
     assert [r["failures"] for r in json.loads(out)[1:]] == [
         ["expected tight, bound 2 != oracle 3"], ["bound 3 exceeds oracle 2"]]
-    code, _, err = run(capsys, "table", "--strict")
-    assert code == 1
-    assert "strict: failing rows: K4" in err
-    assert err.splitlines()[0] == "strict: failing rows: K4, K5 x C4, K4 x K4"
+    record = json.loads(err)
+    assert record["verified"] is False and record["outputs"]["failed"] == failed
+
+
+def test_table_has_no_strict_option(capsys, monkeypatch):
+    """Any failing row fails `table`, so there is no --strict to ask for it."""
+    from treepack import catalogue
+    monkeypatch.setattr(catalogue, "_run_table_row", None)   # no row may run
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--strict"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --strict" in err
 
 
 def test_table_json_rows(capsys):
@@ -553,16 +566,16 @@ def test_stdout_deterministic(capsys, tmp_path):
     (["pack", "cartesian", "k4.graph", "c6.graph"], {"trees", "bound", "out"}, True),
     (["oracle", "k6.graph"], {"sigma", "bound"}, True),
     (["table"], {"rows", "failed"}, True),
-    (["table", "--strict"], {"rows", "failed"}, False),
+    (["table"], {"rows", "failed"}, False),
     (["verify", "k4xc6.pack.json.graph", "k4xc6.pack.json"], {"trees"}, True),
     (["verify", "k1.graph", "k1.two.json"], {"trees"}, False),
-], ids=["gen", "product", "pack", "oracle", "table", "table-strict-failing",
+], ids=["gen", "product", "pack", "oracle", "table", "table-failing",
         "verify-pass", "verify-fail"])
 def test_run_record_on_stderr(capsys, monkeypatch, argv, outputs, verified):
     """Every command ends in one run record on stderr, and exits 1 exactly
     when the record says it failed verification."""
     monkeypatch.chdir(GOLDEN)
-    if "--strict" in argv:
+    if argv[0] == "table" and verified is False:
         _one_failing_table_row(monkeypatch)
     code, _, err = run(capsys, *argv)
     record = json.loads(err.splitlines()[-1])
@@ -573,8 +586,6 @@ def test_run_record_on_stderr(capsys, monkeypatch, argv, outputs, verified):
     assert set(record["outputs"]) == outputs
     assert record["verified"] is verified
     assert code == (1 if verified is False else 0)
-    if "--strict" in argv:   # the strict line comes before the record
-        assert err.splitlines()[0] == "strict: failing rows: K4"
 
 
 @pytest.mark.parametrize("argv", [
@@ -674,7 +685,7 @@ def _command_lines(draw):
         if name[0] != "-":
             argv += draw(st.lists(words, min_size=1, max_size=3 if "nargs" in kw else 1))
         elif draw(st.booleans()):
-            argv += [name] if kw.get("action") == "store_true" else [name, draw(words)]
+            argv += [name, draw(words)]
     for _ in range(max(0, draw(st.integers(-2, 2)))):
         argv.insert(draw(st.integers(1, len(argv))), draw(_TOKEN))
     return argv
@@ -699,7 +710,6 @@ def test_plain_parse_is_argparse_or_declines(argv):
     ["gen", "multipartite", "3", "2"],
     ["pack", "lex", "p3.txt", "k4.txt"],
     ["oracle", "k4.txt"],
-    ["table", "--strict"],
     ["table"],
     # perfbench's pack-oracle op, and --out on product
     ["pack", "cartesian", "g.txt", "h.txt", "--format", "json"],

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepack import oracle
 from treepack.catalogue import (complete, complete_minus_edge,
                                 complete_multipartite, cycle, hypercube, path)
 from treepack.core import (ConstructionError, Graph, InputError, SizeError,
@@ -83,6 +84,26 @@ def test_corrupt_witness_raises_construction_error(monkeypatch):
     assert lines[0] == "internal: constructed packing invalid"
     assert any(line.startswith("  FAIL trees pairwise edge-disjoint")
                for line in lines)
+
+
+def test_certificate_bound_is_the_tree_count_verified(monkeypatch):
+    """sigma = bound is checked once, by verified_packing's tree count: a
+    certificate one above sigma is an internal bug, raised."""
+    certify = oracle._terminal_certificate
+
+    def one_too_high(g, members, clump):
+        cert = certify(g, members, clump)
+        return cert._replace(bound=cert.bound + 1)
+
+    monkeypatch.setattr(oracle, "_terminal_certificate", one_too_high)
+    with pytest.raises(ConstructionError, match="built 2 trees, expected 3"):
+        max_packing(complete(4))
+
+
+def test_one_block_certificate_raises():
+    g = complete(4)
+    with pytest.raises(ConstructionError, match="degenerate certificate partition"):
+        oracle._terminal_certificate(g, [list(range(g.n))], [0] * g.n)
 
 
 def test_too_few_edges_rejected_before_allocating():
