@@ -53,34 +53,27 @@ def normalize_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def bfs_tree(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
-    """Parent pointers (-1: unreached) and discovery order of a breadth-first
-    search of (0..n-1, edges) from vertex 0 that scans neighbors in ascending
-    order."""
+def root_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The breadth-first tree of vertex 0's component in (0..n-1, edges),
+    scanning neighbors in ascending order: its edges as (parent, child), in
+    discovery order of the child.  A spanning tree comes back as itself,
+    oriented."""
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
+    seen = [False] * n
+    seen[0] = True
+    tree = []
     queue = deque([0])
     while queue:
         v = queue.popleft()
         for w in sorted(adj[v]):
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
+            if not seen[w]:
+                seen[w] = True
+                tree.append((v, w))
                 queue.append(w)
-    return parent, order
-
-
-def root_tree(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """The breadth-first spanning tree of a connected (0..n-1, edges) rooted
-    at vertex 0: its edges as (parent, child), in discovery order of the
-    child.  A spanning tree comes back as itself, oriented."""
-    parent, order = bfs_tree(n, edges)
-    return tuple((parent[v], v) for v in order[1:])
+    return tuple(tree)
 
 
 class Graph(NamedTuple):
@@ -116,10 +109,10 @@ class Graph(NamedTuple):
 
     def is_connected(self) -> bool:
         # fewer than n-1 edges cannot connect n vertices: decide before
-        # bfs_tree() allocates O(n)
+        # root_tree() allocates O(n)
         if self.m < self.n - 1:
             return False
-        return self.n <= 1 or len(bfs_tree(self.n, self.edges)[1]) == self.n
+        return self.n <= 1 or len(root_tree(self.n, self.edges)) == self.n - 1
 
 
 class TreePacking(NamedTuple):

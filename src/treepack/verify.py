@@ -10,7 +10,7 @@ and the oracle, ``_load_packing`` reads a packing file.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .core import (ConstructionError, ContractError, Edge, Graph, ParseError,
                    TreePacking, _read_text, read_graph)
@@ -67,20 +67,19 @@ class _Roots(dict):
 
 
 def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
-                 tag: str) -> list[Check]:
-    checks = []
+                 tag: str) -> Iterator[Check]:
     stray = ([] if host_edges.issuperset(t)
              else [e for e in t if e not in host_edges])
-    checks.append(Check(f"{tag}: edges belong to host", not stray,
-                        stray[0] if stray else None))
-    checks.append(Check(f"{tag}: edge count is n-1", len(t) == n - 1,
-                        f"{len(t)} != {n - 1}" if len(t) != n - 1 else None))
+    yield Check(f"{tag}: edges belong to host", not stray,
+                stray[0] if stray else None)
+    yield Check(f"{tag}: edge count is n-1", len(t) == n - 1,
+                f"{len(t)} != {n - 1}" if len(t) != n - 1 else None)
     # Host edges are in range, so only stray edges can break the union-find.
     outside = next((e for e in stray if not all(0 <= v < n for v in e)), None)
     if outside is not None:
-        checks.append(Check(f"{tag}: vertices in range 0..n-1", False,
-                            f"edge {outside} has a vertex outside 0..{n - 1}"))
-        return checks
+        yield Check(f"{tag}: vertices in range 0..n-1", False,
+                    f"edge {outside} has a vertex outside 0..{n - 1}")
+        return
 
     # union-find with path halving, inlined: this loop sees every edge.  A
     # tree short of n-1 edges costs O(its edges), not O(n): _Roots holds the
@@ -97,29 +96,24 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
             cycle_edge = (a, b)
             break
         parent[ra] = rb
-    checks.append(Check(f"{tag}: acyclic", cycle_edge is None,
-                        f"edge {cycle_edge} closes a cycle" if cycle_edge else None))
+    yield Check(f"{tag}: acyclic", cycle_edge is None,
+                f"edge {cycle_edge} closes a cycle" if cycle_edge else None)
 
     # n-1 edges that close no cycle join all n vertices: nothing to scan
     separated = None
     if n and (cycle_edge is not None or len(t) != n - 1):
         root = _find(parent, 0)
         separated = next((v for v in range(n) if _find(parent, v) != root), None)
-    checks.append(Check(f"{tag}: spans and connects all vertices",
-                        separated is None,
-                        f"vertex {separated} separated from vertex 0"
-                        if separated is not None else None))
-    return checks
+    yield Check(f"{tag}: spans and connects all vertices", separated is None,
+                f"vertex {separated} separated from vertex 0"
+                if separated is not None else None)
 
 
-def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
-    """Pass iff every tree verifies, no edge is used twice and a one-vertex
-    host has at most one tree."""
-    trees = packing.trees
+def _checks(host: Graph, trees: tuple[tuple[Edge, ...], ...]) -> Iterator[Check]:
+    """A packing's checks in report order, each made only when it is read."""
     host_edges = frozenset(host.edges)
-    checks: list[Check] = []
     for idx, t in enumerate(trees):
-        checks.extend(_tree_checks(host.n, host_edges, t, f"tree {idx}"))
+        yield from _tree_checks(host.n, host_edges, t, f"tree {idx}")
     clash = None
     if len(set().union(*trees)) != sum(map(len, trees)):
         seen: dict[Edge, int] = {}
@@ -132,15 +126,20 @@ def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
                     break
             if clash:
                 break
-    checks.append(Check(
+    yield Check(
         "trees pairwise edge-disjoint", clash is None,
-        f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None))
+        f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None)
     if host.n == 1:
         one = len(trees) <= 1
-        checks.append(Check("a one-vertex host has one spanning tree (the empty one)",
-                            one, None if one else f"{len(trees)} trees"))
-    subject = f"packing of {len(trees)} trees ({packing.method})"
-    return VerificationReport(subject, tuple(checks))
+        yield Check("a one-vertex host has one spanning tree (the empty one)",
+                    one, None if one else f"{len(trees)} trees")
+
+
+def verify_packing(host: Graph, packing: TreePacking) -> VerificationReport:
+    """Pass iff every tree verifies, no edge is used twice and a one-vertex
+    host has at most one tree."""
+    subject = f"packing of {len(packing.trees)} trees ({packing.method})"
+    return VerificationReport(subject, tuple(_checks(host, packing.trees)))
 
 
 def verified_packing(host: Graph, trees: list[list[Edge]], method: str,
@@ -162,8 +161,8 @@ def verified_packing(host: Graph, trees: list[list[Edge]], method: str,
 def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
     """Raise ContractError unless the packing is valid for the given host.
 
-    Beyond the host match and at least one tree, this is ``verify_packing``:
-    the message names the role and the first failing check with its witness.
+    Beyond the host match and at least one tree, this reads ``verify_packing``'s
+    checks up to the first failure, named with its witness after the role.
     A packing that passes has k <= n // 2 trees on n >= 2 vertices, since
     k(n-1) <= n(n-1)/2, and one tree on one vertex.
     """
@@ -171,9 +170,9 @@ def check_packing(packing: TreePacking, host: Graph, role: str) -> None:
         raise ContractError(f"{role}: packing host does not match the graph")
     if len(packing.trees) < 1:
         raise ContractError(f"{role}: packing must contain at least one tree")
-    for check in verify_packing(host, packing).checks:
-        if not check.passed:
-            raise ContractError(f"{role}: {check.name} fails: {check.witness}")
+    failed = next((c for c in _checks(host, packing.trees) if not c.passed), None)
+    if failed is not None:
+        raise ContractError(f"{role}: {failed.name} fails: {failed.witness}")
 
 
 def _packing_record(graph_ref: str, packing: TreePacking) -> dict[str, Any]:

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import treepack
 from treepack.cartesian import cartesian_bound, pack_cartesian
 from treepack.catalogue import complete, cycle, path, proposition_value
-from treepack.core import ConstructionError, Graph, SizeError, TreePacking
+from treepack.core import (ConstructionError, ContractError, Graph, SizeError,
+                           TreePacking)
 from treepack.lex import lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import verified_packing, verify_packing
+from treepack.verify import check_packing, verified_packing, verify_packing
 
 from reference import (as_tree, components, connected_graphs,
                        proposition_graph, verify_proposition_row)
@@ -87,6 +88,55 @@ def test_empty_trees_on_a_huge_host_verify_in_bounded_memory():
         **{f"tree {i}: edge count is n-1": "0 != 2000000" for i in range(30)},
         **{f"tree {i}: spans and connects all vertices":
            "vertex 1 separated from vertex 0" for i in range(30)}}
+
+
+def test_check_packing_refuses_at_its_first_failure_in_bounded_memory():
+    # the checks stop at tree 0: no report of 800,001 checks is built first
+    k4 = complete(4)
+    packing = TreePacking(k4, ((),) * 200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError) as exc:
+            check_packing(packing, k4, "first factor packing")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == \
+        "first factor packing: tree 0: edge count is n-1 fails: 0 != 3"
+    assert peak < 1_000_000
+
+
+@st.composite
+def _host_and_pairs(draw):
+    """A connected host and 1-4 trees of (min, max) pairs: host edges, pairs
+    of vertices the host leaves unjoined, pairs outside 0..n-1, and repeats."""
+    host = draw(connected_graphs(1, 7))
+    v = st.integers(-1, host.n)
+    pair = st.tuples(v, v).filter(lambda e: e[0] != e[1]).map(
+        lambda e: (min(e), max(e)))
+    edge = st.sampled_from(host.edges) | pair if host.edges else pair
+    trees = draw(st.lists(st.lists(edge, max_size=host.n + 1), min_size=1,
+                          max_size=4))
+    return host, tuple(tuple(sorted(t)) for t in trees)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_host_and_pairs())
+def test_check_packing_agrees_with_the_report(case):
+    """check_packing refuses exactly the packings verify_packing fails, and
+    names the report's first failing check."""
+    host, trees = case
+    packing = TreePacking(host, trees)
+    report = verify_packing(host, packing)
+    first = next((c for c in report.checks if not c.passed), None)
+    if first is None:
+        assert report.overall
+        check_packing(packing, host, "role")   # no raise
+        return
+    assert not report.overall
+    with pytest.raises(ContractError) as exc:
+        check_packing(packing, host, "role")
+    assert str(exc.value) == f"role: {first.name} fails: {first.witness}"
 
 
 @settings(max_examples=200, deadline=None)
