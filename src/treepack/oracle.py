@@ -183,13 +183,6 @@ class _ForestFamily:
             f, i = pred, j
         self.insert(f, i)
 
-    def snapshot(self) -> list[list[Edge]]:
-        """Each forest's edges, in no particular order."""
-        per: list[list[Edge]] = [[] for _ in self.adj]
-        for e, i in self.owner.items():
-            per[i].append(e)
-        return per
-
 
 def max_packing(g: Graph) -> OracleResult:
     """Exact maximum packing with a tree-list witness and a partition certificate."""
@@ -203,7 +196,7 @@ def max_packing(g: Graph) -> OracleResult:
         if family.root[0][e[0]] != family.root[0][e[1]]:
             family.insert(e, 0)
     while True:
-        sigma, witness = len(family.adj), family.snapshot()
+        sigma, owned = len(family.adj), dict(family.owner)
         family.add_forest()
         clump = list(range(g.n))
         members = [[v] for v in range(g.n)]
@@ -226,6 +219,9 @@ def max_packing(g: Graph) -> OracleResult:
         # a forest holds at most n-1 edges: the level failed iff one is short
         if len(family.owner) != len(family.adj) * (g.n - 1):
             break
+    witness: list[list[Edge]] = [[] for _ in range(sigma)]
+    for e, i in owned.items():
+        witness[i].append(e)
     cert = _terminal_certificate(g, members, clump)
     return OracleResult(sigma, verified_packing(g, witness, "oracle", cert.bound), cert)
 

@@ -81,9 +81,10 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
                     f"edge {outside} has a vertex outside 0..{n - 1}")
         return
 
-    # union-find with path halving, inlined: this loop sees every edge.  A
-    # tree short of n-1 edges costs O(its edges), not O(n): _Roots holds the
-    # vertices it touches, and the scan below stops outside 0's component.
+    # union-find with path halving, inlined: it merges every edge and keeps
+    # the first whose ends are already joined.  A tree short of n-1 edges
+    # costs O(its edges), not O(n): _Roots holds the vertices it touches, and
+    # the scan below stops at the smallest vertex the tree leaves apart from 0.
     parent = list(range(n)) if len(t) >= n - 1 else _Roots()
     cycle_edge = None
     for a, b in t:
@@ -92,10 +93,10 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
             parent[ra] = ra = parent[parent[ra]]
         while parent[rb] != rb:
             parent[rb] = rb = parent[parent[rb]]
-        if ra == rb:
+        if ra != rb:
+            parent[ra] = rb
+        elif cycle_edge is None:
             cycle_edge = (a, b)
-            break
-        parent[ra] = rb
     yield Check(f"{tag}: acyclic", cycle_edge is None,
                 f"edge {cycle_edge} closes a cycle" if cycle_edge else None)
 

@@ -69,15 +69,14 @@ def test_max_packing_rejects_bad_input():
 def test_corrupt_witness_raises_construction_error(monkeypatch):
     """max_packing ends in verified_packing: forests that share an edge are
     an internal bug, raised, never a returned packing."""
-    snapshot = _ForestFamily.snapshot
+    verified = oracle.verified_packing
 
-    def repeat_an_edge(self):
-        per = snapshot(self)
-        if len(per) > 1:   # forest 1 swaps its first edge for forest 0's
-            per[1] = per[0][:1] + per[1][1:]
-        return per
+    def repeat_an_edge(host, trees, method, expected):
+        if len(trees) > 1:   # forest 1 swaps its first edge for forest 0's
+            trees[1] = trees[0][:1] + trees[1][1:]
+        return verified(host, trees, method, expected)
 
-    monkeypatch.setattr(_ForestFamily, "snapshot", repeat_an_edge)
+    monkeypatch.setattr(oracle, "verified_packing", repeat_an_edge)
     with pytest.raises(ConstructionError) as exc:
         max_packing(complete(4))
     lines = str(exc.value).splitlines()

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -144,24 +145,69 @@ def test_check_packing_agrees_with_the_report(case):
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          max_size=n + 1))))
 def test_separated_witness_is_smallest_vertex_off_component_of_0(case):
-    """Short, full and long trees alike name the smallest vertex that is not
-    joined to 0, once the edges up to the first cycle are merged."""
+    """Short, full and long trees alike name the smallest vertex that the
+    whole tree leaves apart from 0, and none for a spanning tree."""
     n, pairs = case
     edges = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
-    host = complete(n)
-    report = _one_tree(host, tuple(edges))
+    report = _one_tree(complete(n), tuple(edges))
     spans = [c for c in report.checks if "connects" in c.name][0]
-    kept = []   # the edges the union-find merged before the cycle, if any
-    for e in edges:
-        if any(len(c) > 1 and set(e) <= set(c) for c in components(n, kept)):
-            break
-        kept.append(e)
-    block = next(c for c in components(n, kept) if 0 in c)
+    block = next(c for c in components(n, edges) if 0 in c)
     want = next((v for v in range(n) if v not in block), None)
-    if len(edges) == n - 1 and len(kept) == len(edges):
-        want = None   # a spanning tree: nothing is scanned
     assert spans.witness == (None if want is None
                              else f"vertex {want} separated from vertex 0")
+
+
+def test_a_tree_with_a_cycle_names_the_vertex_it_leaves_out():
+    # (1, 2) closes a cycle, and (2, 3) after it still joins 3 to 0: only 4
+    # is apart from 0
+    report = _one_tree(complete(5), ((0, 1), (0, 2), (1, 2), (2, 3)))
+    assert {c.name: c.witness for c in report.checks if not c.passed} == {
+        "tree 0: acyclic": "edge (1, 2) closes a cycle",
+        "tree 0: spans and connects all vertices":
+            "vertex 4 separated from vertex 0"}
+
+
+def _read(pattern: str, witness: str) -> list:
+    """The literals a witness string holds, in the pattern's groups."""
+    return [ast.literal_eval(g) for g in re.fullmatch(pattern, witness).groups()]
+
+
+def _joined(n: int, edges, a: int, b: int) -> bool:
+    return any(a in c and b in c for c in components(n, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_host_and_pairs())
+def test_every_fail_witness_is_a_fact_about_its_input(case):
+    """Each failed check's witness holds of the packing, recomputed from the
+    edge lists by the reference components search."""
+    host, trees = case
+    n = host.n
+    for c in verify_packing(host, TreePacking(host, trees)).checks:
+        if c.passed:
+            continue
+        tag, _, what = c.name.partition(": ")
+        t = trees[int(tag.removeprefix("tree "))] if what else ()
+        if what == "edges belong to host":
+            assert c.witness in t and c.witness not in host.edges
+        elif what == "edge count is n-1":
+            assert c.witness == f"{len(t)} != {n - 1}"
+        elif what == "vertices in range 0..n-1":
+            (e,) = _read(r"edge (.+) has a vertex outside 0\.\.-?\d+", c.witness)
+            assert e in t and not all(0 <= v < n for v in e)
+        elif what == "acyclic":
+            # the first edge whose ends the edges before it already join
+            (e,) = _read(r"edge (.+) closes a cycle", c.witness)
+            assert e == next(f for i, f in enumerate(t) if _joined(n, t[:i], *f))
+        elif what == "spans and connects all vertices":
+            (v,) = _read(r"vertex (\d+) separated from vertex 0", c.witness)
+            assert not _joined(n, t, 0, v)
+        elif c.name == "trees pairwise edge-disjoint":
+            e, i, j = _read(r"edge (.+) in trees (\d+) and (\d+)", c.witness)
+            assert i != j and e in trees[i] and e in trees[j]
+        else:
+            assert c.name == ONE_VERTEX
+            assert n == 1 and c.witness == f"{len(trees)} trees"
 
 
 def test_verify_packing_accepts_oracle_output():
