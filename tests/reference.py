@@ -6,8 +6,12 @@ search, a one-cycle test, a leaf split that scans for each leaf, an exchange
 search that walks every forest path in full, an exhaustive partition search,
 and the graphs of the catalogued closed forms with a check of one row against
 the exact oracle.  Every random graph a test draws comes from ``random_tree``
-or ``random_connected`` on a seeded ``random.Random``, or from the Hypothesis
-strategy ``connected_graphs(min_n, max_n)``.
+or ``random_connected`` on a seeded ``random.Random``, or from one of three
+Hypothesis strategies: ``connected_graphs(min_n, max_n)``; ``packings(min_n,
+max_n)``, a host with edge-disjoint spanning trees of it, two or more in most
+draws from four vertices up; and ``mutated_packings(min_n, max_n)``, such a
+packing after 0-3 of the named ``MUTATIONS`` that ``mutate`` applies.  No
+draw runs the oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +58,80 @@ def connected_graphs(draw, min_n: int, max_n: int) -> Graph:
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
     return Graph.from_edges(n, sorted(set(tree) | set(extra)))
+
+
+@st.composite
+def packings(draw, min_n: int, max_n: int) -> tuple[Graph, tuple]:
+    """A host on min_n..max_n vertices and k edge-disjoint spanning trees of it,
+    2 <= k <= n // 2 where n >= 4: Kruskal passes over one shuffle of K_n's
+    pairs, each over the pairs no earlier tree took, until one fails to span.
+    The host adds a prefix of the unused pairs.  K1 gets 0-3 empty trees."""
+    n = draw(st.integers(min_n, max_n))
+    if n == 1:
+        return Graph.from_edges(1, ()), ((),) * draw(st.integers(0, 3))
+    k = draw(st.integers(min(2, n // 2), max(1, n // 2)))
+    pairs = draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n)]))
+    trees = []
+    while len(trees) < k:
+        tree = []
+        for a, b in pairs:
+            if not any(a in c and b in c for c in components(n, tree)):
+                tree.append((a, b))
+        if len(tree) < n - 1:
+            break
+        trees.append(tuple(sorted(tree)))
+        pairs = [e for e in pairs if e not in tree]
+    extra = pairs[:draw(st.integers(0, len(pairs)))]
+    return Graph.from_edges(n, sorted([e for t in trees for e in t] + extra)), tuple(trees)
+
+
+# The check each named mutation fails alone on a valid packing ("{}": its tree)
+MUTATIONS = {"drop an edge": "tree {}: edge count is n-1",
+             "swap in a non-host pair": "tree {}: edges belong to host",
+             "add an out-of-range pair": "tree {}: vertices in range 0..n-1",
+             "repeat an edge": "tree {}: acyclic", "add a chord": "tree {}: acyclic",
+             "copy an edge into another tree": "trees pairwise edge-disjoint",
+             "a tree of arbitrary pairs": None}
+
+
+def mutate(host: Graph, trees: tuple, mutation: str, rng: random.Random
+           ) -> tuple[tuple, int | None]:
+    """``trees``, sorted as treepack holds them, after the named mutation of a
+    random tree, and its index; None, and ``trees`` unchanged, if it cannot."""
+    n, edges = host.n, set(host.edges)
+    new = [list(t) for t in trees] or [[]]   # K1 with no trees: one to add
+    t = new[i := rng.randrange(len(new))]
+    adds = {"repeat an edge": t, "add a chord": sorted(edges.difference(t)),
+            "add an out-of-range pair": [(0, n), (-1, 0)]}
+    if mutation == "a tree of arbitrary pairs":   # any pairs in -1..n, repeats too
+        t[:] = rng.choices([(a, b) for a in range(-1, n + 1)
+                            for b in range(a + 1, n + 1)], k=rng.randint(0, n + 1))
+    elif mutation == "drop an edge" and t:
+        t.pop(rng.randrange(len(t)))
+    elif adds.get(mutation):
+        t.append(rng.choice(adds[mutation]))
+    elif mutation == "swap in a non-host pair":   # K_n: a loop stands in
+        j = rng.choice(range(len(t)) or [0])   # in place of an edge, or first
+        t[j:j + 1] = [rng.choice([(a, b) for a in range(n) for b in range(a + 1, n)
+                                  if (a, b) not in edges] or [(0, 0)])]
+    elif mutation == "copy an edge into another tree" and t and len(new) > 1:
+        e, u = rng.choice(t), rng.choice([v for v in new if v is not t])
+        on_cycle = [j for j in range(len(u)) if edges.issuperset(u + [e]) and len(
+            components(n, u[:j] + u[j + 1:] + [e])) == 1]   # so a tree stays a tree
+        j = rng.choice(on_cycle or range(len(u)) or [0])
+        u[j:j + 1] = [e]
+    else:
+        return trees, None
+    return tuple(tuple(sorted(t)) for t in new), i
+
+
+@st.composite
+def mutated_packings(draw, min_n: int, max_n: int) -> tuple[Graph, tuple]:
+    """A drawn packing after 0-3 named mutations."""
+    host, trees = draw(packings(min_n, max_n))
+    for mutation in draw(st.lists(st.sampled_from(list(MUTATIONS)), max_size=3)):
+        trees = mutate(host, trees, mutation, draw(st.randoms()))[0]
+    return host, trees
 
 
 def components(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:

@@ -9,20 +9,19 @@ import sys
 from pathlib import Path
 
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 # with the imports below, every module is loaded: spans.install rebinds
 # names in loaded modules only
 import treepack.cartesian
 import treepack.cli
 import treepack.lex
+import treepack.oracle
 import treepack.products
 from treepack.catalogue import complete, cycle, path
 from treepack.core import TreePacking, write_graph
-from treepack.oracle import max_packing
 from treepack.verify import verify_packing
 
-from reference import connected_graphs
+from reference import mutated_packings
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -33,52 +32,10 @@ try:
 finally:
     sys.path.remove(str(PERFBENCH))
 
-MUTATIONS = ("drop an edge", "swap in a non-host pair", "add an out-of-range pair",
-             "repeat an edge", "copy an edge into another tree")
-
-
-@st.composite
-def _mutated_packings(draw):
-    """A connected host on 1-7 vertices, a valid packing of it (the oracle's,
-    or 0-3 empty trees on K1) and up to 3 mutations."""
-    host = draw(connected_graphs(1, 7))
-    n = host.n
-    if n == 1:
-        trees = [[] for _ in range(draw(st.integers(0, 3)))]
-    else:
-        trees = [list(t) for t in max_packing(host).packing.trees]
-    others = [(a, b) for a in range(n) for b in range(a + 1, n)
-              if (a, b) not in host.edges] or [(0, 0)]   # K_n: a loop stands in
-
-    def put(u, pair):   # in place of one of u's edges, or as its first
-        if u:
-            u[draw(st.integers(0, len(u) - 1))] = pair
-        else:
-            u.append(pair)
-
-    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
-        if not trees:
-            break
-        t = trees[draw(st.integers(0, len(trees) - 1))]
-        if mutation == "add an out-of-range pair":
-            t.append(draw(st.sampled_from([(0, n), (-1, 0)])))
-        elif mutation == "swap in a non-host pair":
-            put(t, draw(st.sampled_from(others)))
-        elif not t:
-            continue
-        elif mutation == "drop an edge":
-            t.pop(draw(st.integers(0, len(t) - 1)))
-        elif mutation == "repeat an edge":
-            t.append(draw(st.sampled_from(t)))
-        elif len(trees) > 1:   # copy an edge into another tree
-            put(draw(st.sampled_from([u for u in trees if u is not t])),
-                draw(st.sampled_from(t)))
-    return host, tuple(map(tuple, trees))
-
 
 @settings(max_examples=300, deadline=None)
-@given(_mutated_packings())
-# random hosts seldom hold two trees: pin a copy that only the disjointness
+@given(mutated_packings(1, 7))
+# pinned: two spanning trees that share an edge, which only the disjointness
 # check can fail, and the one known disagreement
 @example((complete(4), (((0, 1), (0, 3), (2, 3)), ((0, 1), (1, 2), (1, 3)))))
 @example((path(1), ((), ())))

@@ -1,12 +1,13 @@
 import ast
 import itertools
 import json
+import random
 import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import treepack
@@ -19,8 +20,8 @@ from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import check_packing, verified_packing, verify_packing
 
-from reference import (as_tree, components, connected_graphs,
-                       proposition_graph, verify_proposition_row)
+from reference import (MUTATIONS, as_tree, components, mutate, mutated_packings,
+                       packings, proposition_graph, verify_proposition_row)
 
 
 def _one_tree(host: Graph, t: tuple):
@@ -107,37 +108,23 @@ def test_check_packing_refuses_at_its_first_failure_in_bounded_memory():
     assert peak < 1_000_000
 
 
-@st.composite
-def _host_and_pairs(draw):
-    """A connected host and 1-4 trees of (min, max) pairs: host edges, pairs
-    of vertices the host leaves unjoined, pairs outside 0..n-1, and repeats."""
-    host = draw(connected_graphs(1, 7))
-    v = st.integers(-1, host.n)
-    pair = st.tuples(v, v).filter(lambda e: e[0] != e[1]).map(
-        lambda e: (min(e), max(e)))
-    edge = st.sampled_from(host.edges) | pair if host.edges else pair
-    trees = draw(st.lists(st.lists(edge, max_size=host.n + 1), min_size=1,
-                          max_size=4))
-    return host, tuple(tuple(sorted(t)) for t in trees)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_host_and_pairs())
+@given(mutated_packings(1, 7))
 def test_check_packing_agrees_with_the_report(case):
-    """check_packing refuses exactly the packings verify_packing fails, and
-    names the report's first failing check."""
+    """check_packing refuses exactly the packings verify_packing fails, and no
+    trees at all, and names the report's first failing check."""
     host, trees = case
     packing = TreePacking(host, trees)
     report = verify_packing(host, packing)
     first = next((c for c in report.checks if not c.passed), None)
-    if first is None:
+    if first is None and trees:
         assert report.overall
         check_packing(packing, host, "role")   # no raise
         return
-    assert not report.overall
     with pytest.raises(ContractError) as exc:
         check_packing(packing, host, "role")
-    assert str(exc.value) == f"role: {first.name} fails: {first.witness}"
+    assert str(exc.value) == (f"role: {first.name} fails: {first.witness}" if first
+                              else "role: packing must contain at least one tree")
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +164,7 @@ def _joined(n: int, edges, a: int, b: int) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_host_and_pairs())
+@given(mutated_packings(1, 7))
 def test_every_fail_witness_is_a_fact_about_its_input(case):
     """Each failed check's witness holds of the packing, recomputed from the
     edge lists by the reference components search."""
@@ -274,9 +261,9 @@ def test_only_reference_draws_random_graphs():
             graphs = any(getattr(n, "id", None) == "Graph" for n in ast.walk(node))
             if node.name in ("random_tree", "random_connected") or composite and graphs:
                 defined.append((path.name, node.name))
-    assert defined == [("reference.py", "random_tree"),
-                       ("reference.py", "random_connected"),
-                       ("reference.py", "connected_graphs")]
+    assert defined == [("reference.py", name) for name in (
+        "random_tree", "random_connected", "connected_graphs", "packings",
+        "mutated_packings")]
 
 
 def test_verify_packing_mutations_fail():
@@ -330,47 +317,28 @@ def _valid_packing(name):
     return max_packing(complete(6)).packing
 
 
-def _drop(host, trees):
-    trees[0].pop()
-    return "tree 0: edge count is n-1"
+def _pinned_mutations(test):
+    """Five mutations of each of three catalogue packings, as examples."""
+    for name in ("k4xc4", "p3lexk4", "k6"):
+        packing = _valid_packing(name)
+        for mutation in ("drop an edge", "swap in a non-host pair", "add a chord",
+                         "add an out-of-range pair", "copy an edge into another tree"):
+            test = example((packing.host, packing.trees), mutation, random.Random(0))(test)
+    return test
 
 
-def _swap_for_non_host(host, trees):
-    n, edges = host.n, set(host.edges)
-    # K6 has no missing pair, so a self-loop stands in as its non-host edge
-    trees[0][0] = next(((a, b) for a in range(n) for b in range(a + 1, n)
-                        if (a, b) not in edges), (0, 0))
-    return "tree 0: edges belong to host"
-
-
-def _add_out_of_range(host, trees):
-    trees[0].append((0, host.n))
-    return "tree 0: vertices in range 0..n-1"
-
-
-def _copy_into_second_tree(host, trees):
-    trees[1].append(trees[0][0])
-    return "trees pairwise edge-disjoint"
-
-
-def _add_chord(host, trees):
-    trees[0].append(next(e for e in host.edges if e not in trees[0]))
-    return "tree 0: acyclic"
-
-
-@pytest.mark.parametrize("mutate", [_drop, _swap_for_non_host, _add_out_of_range,
-                                    _copy_into_second_tree, _add_chord])
-@pytest.mark.parametrize("name", ["k4xc4", "p3lexk4", "k6"])
-def test_verify_packing_single_mutation_fails_with_witness(name, mutate):
-    packing = _valid_packing(name)
-    host = packing.host
-    trees = [list(t) for t in packing.trees]
-    expected = mutate(host, trees)
-    report = verify_packing(host, _mk(host, trees))
-    assert not report.overall
-    failed = {c.name: c for c in report.checks if not c.passed}
-    assert expected in failed
-    assert all(c.witness is not None for c in failed.values())
+@settings(max_examples=200, deadline=None)
+@given(packings(1, 7), st.sampled_from([m for m in MUTATIONS if MUTATIONS[m]]),
+       st.randoms())
+@_pinned_mutations
+def test_verify_packing_single_mutation_fails_with_witness(case, mutation, rng):
+    """One named mutation of a packing fails its check, with a witness."""
+    host, trees = case
+    trees, i = mutate(host, trees, mutation, rng)
+    assume(i is not None)   # the tree it picked can take the mutation
+    failed = {c.name: c.witness for c in verify_packing(
+        host, TreePacking(host, trees)).checks if not c.passed}
+    assert MUTATIONS[mutation].format(i) in failed and None not in failed.values()
 
 
 ONE_VERTEX = "a one-vertex host has one spanning tree (the empty one)"
@@ -462,16 +430,24 @@ def test_report_rendering():
     assert all(c["passed"] for c in record["checks"])
 
 
+K4_TWO_TREES = (complete(4), (((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(connected_graphs(2, 6), connected_graphs(2, 6))
-def test_constructions_meet_bound_and_verify(g, h):
-    """Both constructions on random factors: the promised tree count, a
+@given(packings(2, 6), packings(2, 6))
+@example(K4_TWO_TREES, K4_TWO_TREES)                              # lex balanced
+@example((path(3), (((0, 1), (1, 2)),)), K4_TWO_TREES)            # lex h_rich
+@example(K4_TWO_TREES, (cycle(4), (((0, 1), (1, 2), (2, 3)),)))   # lex g_rich
+def test_constructions_meet_bound_and_verify(first, second):
+    """Both constructions on drawn factor packings: the promised tree count, a
     passing verify_packing, and never more trees than the product's sigma."""
-    rg, rh = max_packing(g), max_packing(h)
+    (g, trees_g), (h, trees_h) = first, second
+    k, ell = len(trees_g), len(trees_h)
+    pack_g, pack_h = TreePacking(g, trees_g), TreePacking(h, trees_h)
     for kind, pack, bound in (
-            ("cartesian", pack_cartesian, cartesian_bound(rg.sigma, rh.sigma)),
-            ("lex", pack_lex, lex_plan(rg.sigma, rh.sigma, g.n, h.n).tree_count)):
-        out = pack(g, h, rg.packing, rh.packing)
+            ("cartesian", pack_cartesian, cartesian_bound(k, ell)),
+            ("lex", pack_lex, lex_plan(k, ell, g.n, h.n).tree_count)):
+        out = pack(g, h, pack_g, pack_h)
         assert len(out.trees) == bound, kind
         assert verify_packing(out.host, out).overall, kind
         assert out.host.n <= 36
