@@ -317,22 +317,30 @@ def _valid_packing(name):
     return max_packing(complete(6)).packing
 
 
-def _pinned_mutations(test):
-    """Five mutations of each of three catalogue packings, as examples."""
-    for name in ("k4xc4", "p3lexk4", "k6"):
-        packing = _valid_packing(name)
-        for mutation in ("drop an edge", "swap in a non-host pair", "add a chord",
-                         "add an out-of-range pair", "copy an edge into another tree"):
-            test = example((packing.host, packing.trees), mutation, random.Random(0))(test)
-    return test
+_PINNED = {"_drop": "drop an edge", "_swap_for_non_host": "swap in a non-host pair",
+           "_add_out_of_range": "add an out-of-range pair",
+           "_copy_into_second_tree": "copy an edge into another tree",
+           "_add_chord": "add a chord"}
+
+
+@pytest.mark.parametrize("mutation", list(_PINNED.values()), ids=list(_PINNED))
+@pytest.mark.parametrize("name", ["k4xc4", "p3lexk4", "k6"])
+def test_verify_packing_single_mutation_fails_with_witness(name, mutation):
+    """One named mutation of a catalogue packing fails its check, with a witness."""
+    packing = _valid_packing(name)
+    trees, i = mutate(packing.host, packing.trees, mutation, random.Random(0))
+    assert i is not None
+    report = verify_packing(packing.host, TreePacking(packing.host, trees))
+    assert not report.overall
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert MUTATIONS[mutation].format(i) in failed and None not in failed.values()
 
 
 @settings(max_examples=200, deadline=None)
 @given(packings(1, 7), st.sampled_from([m for m in MUTATIONS if MUTATIONS[m]]),
        st.randoms())
-@_pinned_mutations
-def test_verify_packing_single_mutation_fails_with_witness(case, mutation, rng):
-    """One named mutation of a packing fails its check, with a witness."""
+def test_drawn_single_mutation_fails_with_witness(case, mutation, rng):
+    """One named mutation of a drawn packing fails its check, with a witness."""
     host, trees = case
     trees, i = mutate(host, trees, mutation, rng)
     assume(i is not None)   # the tree it picked can take the mutation
