@@ -2,14 +2,17 @@
 
 A product vertex is the pair (u, v) with u from the first factor and v from
 the second; it is flattened to the integer u * n2 + v, so each fiber (fixed u)
-occupies a contiguous index block.  ``treepack product`` and ``treepack pack``
-run here; ``pack`` imports the oracle and its construction only when it runs
-them.
+occupies a contiguous index block.  A product's edges are built in ascending
+order from the adjacency rule: (u, v) meets (u, v') for each H-neighbour v'
+of v, and (w, v) (cartesian) or every (w, t) (lex) for each G-neighbour w of
+u.  ``treepack product`` and ``treepack pack`` run here; ``pack`` imports the
+oracle and its construction only when it runs them.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -43,46 +46,55 @@ class ProductGraph(NamedTuple):
         matchings 2r-1 and 2r together form one Hamiltonian cycle of the
         lexicographic bundle K_{n2,n2} (Laskar and Auerbach).
         """
-        n2 = self.n2
-        out = []
+        n2, s = self.n2, j % self.n2
+        out: list[Edge] = []
         for parent, child in oriented_edges:
             p, c = parent * n2, child * n2
-            for t in range(n2):
-                a, b = p + t, c + (t + j) % n2
-                out.append((a, b) if a < b else (b, a))
+            # disjoint fibers: one comparison orients all n2 pairs
+            ps = range(p, p + n2)
+            cs = chain(range(c + s, c + n2), range(c, c + s))
+            out.extend(zip(ps, cs) if p < c else zip(cs, ps))
         return out
 
 
-def _matchings(kind: str, g: Graph, h: Graph) -> range:
-    """The kind's bundle matchings over each g-edge, the identity n2 alone or
-    all of K_{n2,n2}, if g and h make a product.  The one check of that, in
-    this order: InputError for an empty factor, SizeError if the product's
-    n1*m2 + m1*n2*len(matchings) edges are more than MAX_EDGES, InputError
-    for a disconnected first, then second, factor."""
+def _check_product(kind: str, g: Graph, h: Graph) -> None:
+    """Raise unless g and h make a product of this kind.  The one check of
+    that, in this order: InputError for an empty factor, SizeError if the
+    product's n1*m2 + m1*n2 (cartesian) or n1*m2 + m1*n2*n2 (lex) edges are
+    more than MAX_EDGES, InputError for a disconnected first, then second,
+    factor."""
     if g.n < 1 or h.n < 1:
         raise InputError("both factors must be non-empty")
-    matchings = range(h.n, h.n + 1) if kind == CARTESIAN else range(1, h.n + 1)
-    check_edge_count(g.n * h.m + g.m * h.n * len(matchings), "product")
+    check_edge_count(g.n * h.m + g.m * h.n * (1 if kind == CARTESIAN else h.n),
+                     "product")
     if not g.is_connected():
         raise InputError("first factor must be connected")
     if not h.is_connected():
         raise InputError("second factor must be connected")
-    return matchings
 
 
 def _build(kind: str, g: Graph, h: Graph) -> ProductGraph:
-    """Every fiber copy of h plus the kind's bundle matchings over every g-edge."""
-    matchings = _matchings(kind, g, h)
-    # the copy methods read only the factor sizes, not the graph being built
-    shell = ProductGraph(kind, Graph(0, ()), g.n, h.n)
+    """The product's edges in ascending order, with no sort: vertex x = u*n2 + v
+    in turn meets its fiber's u*n2 + v' for each H-neighbour v' > v, then,
+    for each G-neighbour w > u ascending, w*n2 + v (cartesian) or all of
+    fiber w (lex).  Each pair is (min, max) and unique by construction, so
+    there is no re-validation through Graph.from_edges."""
+    _check_product(kind, g, h)
+    n2 = h.n
+    up_g, up_h = [[] for _ in range(g.n)], [[] for _ in range(n2)]
+    for up, f in ((up_g, g), (up_h, h)):   # neighbours above, ascending
+        for a, b in f.edges:
+            up[a].append(b)
     edges: list[Edge] = []
-    for u in range(g.n):
-        edges.extend(shell.fiber_copy(h.edges, u))
-    for j in matchings:
-        edges.extend(shell.matching_copy(g.edges, j))
-    # (min, max) pairs of validated factors, unique by construction: no
-    # re-validation through Graph.from_edges
-    return ProductGraph(kind, Graph(g.n * h.n, tuple(sorted(edges))), g.n, h.n)
+    for u, ws in enumerate(up_g):
+        base, fibers = u * n2, [range(w * n2, w * n2 + n2) for w in ws]
+        # row v: x's partners above fiber u; zip() of no fibers gives no row
+        rows = (repeat([*chain(*fibers)]) if kind == LEXICOGRAPHIC
+                else zip(*fibers) if fibers else repeat(()))
+        for x, vs, ys in zip(range(base, base + n2), up_h, rows):
+            edges.extend(zip(repeat(x), map(base.__add__, vs)))
+            edges.extend(zip(repeat(x), ys))
+    return ProductGraph(kind, Graph(g.n * n2, tuple(edges)), g.n, n2)
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
@@ -137,7 +149,7 @@ def cmd_pack(args: SimpleNamespace) -> tuple[str | None, Any, dict, bool]:
     from .verify import _packing_record
     g = read_graph(_read_text(args.fileG))
     h = read_graph(_read_text(args.fileH))
-    _matchings(args.kind, g, h)   # refuse a non-product before any oracle runs
+    _check_product(args.kind, g, h)   # refuse a non-product before any oracle runs
     paths = args.factor_packing or []
     if len(paths) > 2:
         raise InputError("--factor-packing may be given at most twice (G then H)")

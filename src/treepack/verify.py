@@ -66,10 +66,8 @@ class _Roots(dict):
         return v
 
 
-def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
+def _tree_checks(n: int, stray: list[Edge], t: tuple[Edge, ...],
                  tag: str) -> Iterator[Check]:
-    stray = ([] if host_edges.issuperset(t)
-             else [e for e in t if e not in host_edges])
     yield Check(f"{tag}: edges belong to host", not stray,
                 stray[0] if stray else None)
     yield Check(f"{tag}: edge count is n-1", len(t) == n - 1,
@@ -112,11 +110,21 @@ def _tree_checks(n: int, host_edges: frozenset[Edge], t: tuple[Edge, ...],
 
 def _checks(host: Graph, trees: tuple[tuple[Edge, ...], ...]) -> Iterator[Check]:
     """A packing's checks in report order, each made only when it is read."""
-    host_edges = frozenset(host.edges)
+    # Each tree drains its edges from one set of the host edges no earlier tree
+    # took: one that removes len(t) of them has no stray, repeated or shared
+    # edge, so only a short drain scans its tree against the host, and only
+    # after one is the whole packing unioned for the disjointness check.
+    free, host_edges, short = set(host.edges), None, False
     for idx, t in enumerate(trees):
-        yield from _tree_checks(host.n, host_edges, t, f"tree {idx}")
+        left = len(free)
+        free.difference_update(t)
+        stray = []
+        if left - len(free) != len(t):
+            short, host_edges = True, host_edges or frozenset(host.edges)
+            stray = [e for e in t if e not in host_edges]
+        yield from _tree_checks(host.n, stray, t, f"tree {idx}")
     clash = None
-    if len(set().union(*trees)) != sum(map(len, trees)):
+    if short and len(set().union(*trees)) != sum(map(len, trees)):
         seen: dict[Edge, int] = {}
         # name the first edge two trees share; a repeat inside one tree is
         # its acyclic check's failure

@@ -3,8 +3,9 @@ random graphs.
 
 Each reference is slow or small-scale on purpose: a connected-components
 search, a one-cycle test, a leaf split that scans for each leaf, an exchange
-search that walks every forest path in full, an exhaustive partition search,
-and the graphs of the catalogued closed forms with a check of one row against
+search that walks every forest path in full, a packing's checks that scan
+every tree against the host and union every tree, an exhaustive partition
+search, and the graphs of the catalogued closed forms with a check of one row against
 the exact oracle.  Every random graph a test draws comes from ``random_tree``
 or ``random_connected`` on a seeded ``random.Random``, or from one of three
 Hypothesis strategies: ``connected_graphs(min_n, max_n)``; ``packings(min_n,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from treepack.catalogue import (complete, complete_multipartite, cycle,
 from treepack.core import ConstructionError, Edge, Graph, InputError, SizeError
 from treepack.oracle import TutteCertificate, _ForestFamily, max_packing
 from treepack.products import cartesian
-from treepack.verify import Check, VerificationReport
+from treepack.verify import Check, VerificationReport, _tree_checks
 
 
 def as_tree(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -244,6 +245,36 @@ def reference_search(family: _ForestFamily, e0: Edge, clump: list[int]
                     if clump[g[0]] != clump[g[1]]:
                         queue.append(g)
     return None, label
+
+
+def reference_checks(host: Graph, trees: tuple[tuple[Edge, ...], ...]
+                     ) -> Iterator[Check]:
+    """``verify._checks`` that tests every tree against one frozenset of the
+    host edges and then unions the whole packing for the disjointness check."""
+    host_edges = frozenset(host.edges)
+    for idx, t in enumerate(trees):
+        stray = ([] if host_edges.issuperset(t)
+                 else [e for e in t if e not in host_edges])
+        yield from _tree_checks(host.n, stray, t, f"tree {idx}")
+    clash = None
+    if len(set().union(*trees)) != sum(map(len, trees)):
+        seen: dict[Edge, int] = {}
+        # name the first edge two trees share; a repeat inside one tree is
+        # its acyclic check's failure
+        for idx, t in enumerate(trees):
+            for e in t:
+                if seen.setdefault(e, idx) != idx:
+                    clash = (e, seen[e], idx)
+                    break
+            if clash:
+                break
+    yield Check(
+        "trees pairwise edge-disjoint", clash is None,
+        f"edge {clash[0]} in trees {clash[1]} and {clash[2]}" if clash else None)
+    if host.n == 1:
+        one = len(trees) <= 1
+        yield Check("a one-vertex host has one spanning tree (the empty one)",
+                    one, None if one else f"{len(trees)} trees")
 
 
 def tutte_bruteforce(g: Graph) -> TutteCertificate:

@@ -128,20 +128,33 @@ def test_product_size_is_checked_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    # the benchmark's largest product stays far below the cap
-    assert cartesian(complete(40), cycle(40)).graph.m == 40 * 40 + 780 * 40
+    # the benchmark's largest product stays far below the cap, and the
+    # products at benchmark scale are their definitions, edge order included
+    big = cartesian(complete(40), cycle(40)).graph
+    assert big.m == 40 * 40 + 780 * 40
+    assert big == _by_definition(cartesian, complete(40), cycle(40))
+    for g, h in ((complete(12), complete(12)), (complete(16), cycle(8))):
+        assert lexicographic(g, h).graph == _by_definition(lexicographic, g, h)
+
+
+def _by_definition(make, g: Graph, h: Graph) -> Graph:
+    """The product from its definition, validated and sorted by Graph.from_edges:
+    every fiber copy of h, then the rungs (cartesian) or whole bundles (lex)
+    over every g-edge."""
+    n2 = h.n
+    fibers = [(u * n2 + a, u * n2 + b) for u in range(g.n) for a, b in h.edges]
+    cross = ([(a * n2 + v, b * n2 + v) for a, b in g.edges for v in range(n2)]
+             if make is cartesian else
+             [(a * n2 + x, b * n2 + y) for a, b in g.edges
+              for x in range(n2) for y in range(n2)])
+    return Graph.from_edges(g.n * n2, fibers + cross)
 
 
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(1, 7), connected_graphs(1, 7))
 def test_products_match_validated_construction(g, h):
     """The products skip Graph.from_edges; it must agree on their edge lists."""
-    n2 = h.n
-    fibers = [(u * n2 + a, u * n2 + b) for u in range(g.n) for a, b in h.edges]
-    rungs = [(a * n2 + v, b * n2 + v) for a, b in g.edges for v in range(n2)]
-    bundles = [(a * n2 + x, b * n2 + y) for a, b in g.edges
-               for x in range(n2) for y in range(n2)]
-    assert cartesian(g, h).graph == Graph.from_edges(g.n * n2, fibers + rungs)
-    assert lexicographic(g, h).graph == Graph.from_edges(g.n * n2, fibers + bundles)
+    assert cartesian(g, h).graph == _by_definition(cartesian, g, h)
+    assert lexicographic(g, h).graph == _by_definition(lexicographic, g, h)
     for graph in (g, h, cartesian(g, h).graph):
         assert read_graph(write_graph(graph)) == graph

@@ -18,10 +18,12 @@ from treepack.core import (ConstructionError, ContractError, Graph, SizeError,
 from treepack.lex import lex_plan, pack_lex
 from treepack.oracle import max_packing
 from treepack.products import cartesian
-from treepack.verify import check_packing, verified_packing, verify_packing
+from treepack.verify import (_checks, check_packing, verified_packing,
+                             verify_packing)
 
 from reference import (MUTATIONS, as_tree, components, mutate, mutated_packings,
-                       packings, proposition_graph, verify_proposition_row)
+                       packings, proposition_graph, reference_checks,
+                       verify_proposition_row)
 
 
 def _one_tree(host: Graph, t: tuple):
@@ -125,6 +127,21 @@ def test_check_packing_agrees_with_the_report(case):
         check_packing(packing, host, "role")
     assert str(exc.value) == (f"role: {first.name} fails: {first.witness}" if first
                               else "role: packing must contain at least one tree")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_packings(1, 7))
+@example((complete(4), (((0, 1), (1, 2), (2, 3)),                 # two trees
+                        ((0, 2), (0, 3), (2, 3)))))               # share (2, 3)
+@example((complete(4), (((0, 1), (0, 1), (1, 2), (2, 3)),)))       # own repeat
+@example((cycle(4), (((0, 1), (1, 2), (2, 3)), ((0, 3), (2, 3)),  # shared, then
+                     ((0, 2), (0, 3)))))                          # (0, 2) stray
+@example((complete(1), ((), ())))                                 # K1, two empty
+def test_drained_checks_match_the_reference(case):
+    """Draining one host-edge set gives every check of the reference, with
+    its name, verdict and witness, in the same order."""
+    host, trees = case
+    assert list(_checks(host, trees)) == list(reference_checks(host, trees))
 
 
 @settings(max_examples=200, deadline=None)
