@@ -41,6 +41,10 @@ class SizeError(ValueError):
 # Largest edge count a graph may have, whether read, generated or built as a
 # product.  The benchmark's largest product, K40 x C40, has 33k edges.
 MAX_EDGES = 2_000_000
+# Most oracle work, m * floor(m / (n-1)), that max_packing takes on.  A unit
+# costs 3-43 us, and K40 x C40's 656,000 units take 10-17 s: this keeps 15x
+# headroom and refuses K_n from n = 343 (K2000 is about 2.0e9 units).
+MAX_ORACLE_WORK = 10_000_000
 
 
 def check_edge_count(m: int, what: str = "graph") -> None:

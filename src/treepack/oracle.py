@@ -44,8 +44,9 @@ from collections import deque
 from types import SimpleNamespace
 from typing import Any, NamedTuple
 
-from .core import (ConstructionError, Edge, Graph, InputError, TreePacking,
-                   _dump, _read_text, _write_out, read_graph)
+from .core import (MAX_ORACLE_WORK, ConstructionError, Edge, Graph, InputError,
+                   SizeError, TreePacking, _dump, _read_text, _write_out,
+                   read_graph)
 from .verify import _packing_record, verified_packing
 
 class TutteCertificate(NamedTuple):
@@ -188,6 +189,10 @@ def max_packing(g: Graph) -> OracleResult:
     """Exact maximum packing with a tree-list witness and a partition certificate."""
     if g.n < 2:
         raise InputError(f"packing number needs n >= 2, got n={g.n}")
+    work = g.m * (g.m // (g.n - 1))
+    if work > MAX_ORACLE_WORK:
+        raise SizeError(f"oracle work m*floor(m/(n-1)) would be {work}, "
+                        f"more than {MAX_ORACLE_WORK}")
     if not g.is_connected():
         raise InputError("packing number of a disconnected graph is undefined here")
     family = _ForestFamily(g.n)

@@ -460,6 +460,23 @@ def test_gen_size_is_checked_before_building(capsys):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", str(GOLDEN / "k4.graph")],
+    ["pack", "cartesian", str(GOLDEN / "k4.graph"), str(GOLDEN / "c6.graph")]])
+def test_oracle_work_is_checked_before_the_search(capsys, monkeypatch, argv):
+    # K4's work is 6 * floor(6 / 3) = 12 units; C6's, 6 * 1 = 6, stays under
+    monkeypatch.setattr("treepack.oracle.MAX_ORACLE_WORK", 11)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == "error: oracle work m*floor(m/(n-1)) would be 12, more than 11\n"
+    assert peak < 1_000_000
+
+
 def test_oracle_rejects_disconnected(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 4 2\ne 0 1\ne 2 3\n")

@@ -302,8 +302,12 @@ def test_check_packing_contract_errors():
         check_packing(TreePacking(g, (t2,)), g, "cyc")
     with pytest.raises(ContractError, match="at least one"):
         check_packing(TreePacking(g, ()), g, "empty")
-    with pytest.raises(ContractError, match="host"):
+    with pytest.raises(ContractError) as exc:
         check_packing(TreePacking(g, (t1,)), complete(5), "host")
+    assert str(exc.value) == "host: tree 0: edge count is n-1 fails: 3 != 4"
+    # the trees are judged against the graph checked for, not the carried host
+    k4_trees = (((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3)))
+    check_packing(TreePacking(complete(5), k4_trees), g, "ok")  # no raise
     # K1 has exactly one spanning tree, the empty one
     k1 = path(1)
     check_packing(TreePacking(k1, ((),)), k1, "ok")  # no raise

@@ -21,9 +21,9 @@ from treepack.products import cartesian
 from treepack.verify import (_checks, check_packing, verified_packing,
                              verify_packing)
 
-from reference import (MUTATIONS, as_tree, components, mutate, mutated_packings,
-                       packings, proposition_graph, reference_checks,
-                       verify_proposition_row)
+from reference import (MUTATIONS, as_tree, components, connected_graphs, mutate,
+                       mutated_packings, packings, proposition_graph,
+                       reference_checks, verify_proposition_row)
 
 
 def _one_tree(host: Graph, t: tuple):
@@ -111,12 +111,15 @@ def test_check_packing_refuses_at_its_first_failure_in_bounded_memory():
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_packings(1, 7))
-def test_check_packing_agrees_with_the_report(case):
+@given(mutated_packings(1, 7), st.data())
+def test_check_packing_agrees_with_the_report(case, data):
     """check_packing refuses exactly the packings verify_packing fails, and no
-    trees at all, and names the report's first failing check."""
+    trees at all, and names the report's first failing check, whatever host
+    the packing carries."""
     host, trees = case
-    packing = TreePacking(host, trees)
+    carried = data.draw(st.one_of(st.just(host), st.just(complete(1)),
+                                  connected_graphs(1, 7)), label="carried host")
+    packing = TreePacking(carried, trees)
     report = verify_packing(host, packing)
     first = next((c for c in report.checks if not c.passed), None)
     if first is None and trees:

@@ -8,8 +8,10 @@ and each run, one child per checkout builds the graph with that checkout's
 own ``treepack`` and times its first ``max_packing`` call; the side that runs
 first alternates from run to run.  Every child prints sigma, a digest of
 (sigma, trees, certificate) and the time.  stdout gets one line per graph:
-n, m, sigma, each side's times and whether every digest agreed.  The exit
-code is 1 if any digest differs between the sides or between runs.
+n, m, sigma, the oracle's work units m*floor(m/(n-1)) (what
+``core.MAX_ORACLE_WORK`` caps), each side's times, each side's microseconds
+per unit and whether every digest agreed.  The exit code is 1 if any digest
+differs between the sides or between runs.
 Uses the standard library only; K40xC40 alone takes 10-20 s per child.
 """
 
@@ -76,8 +78,9 @@ def main() -> int:
 
     print(f"{args.runs} runs per side, parent first in odd runs; cold "
           "max_packing seconds")
-    print(f"{'graph':<10} {'n':>5} {'m':>6} {'sigma':>5}  {'parent':<20} "
-          f"{'change':<20} digest")
+    print(f"{'graph':<10} {'n':>5} {'m':>6} {'sigma':>5} {'units':>9}  "
+          f"{'parent s':<20} {'change s':<20} {'parent us/unit':<16} "
+          f"{'change us/unit':<16} digest")
     mismatch = False
     for name, expr in GRAPHS.items():
         records: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -91,10 +94,14 @@ def main() -> int:
         digests = {r["digest"] for side in SIDES for r in records[side]}
         mismatch |= len(digests) > 1
         first = records["parent"][0]
+        units = first["m"] * (first["m"] // (first["n"] - 1))
         times = {side: " ".join(f"{r['seconds']:.2f}" for r in records[side])
                  for side in SIDES}
-        print(f"{name:<10} {first['n']:>5} {first['m']:>6} {first['sigma']:>5}  "
-              f"{times['parent']:<20} {times['change']:<20} "
+        rates = {side: " ".join(f"{r['seconds'] / units * 1e6:.1f}"
+                                for r in records[side]) for side in SIDES}
+        print(f"{name:<10} {first['n']:>5} {first['m']:>6} {first['sigma']:>5} "
+              f"{units:>9}  {times['parent']:<20} {times['change']:<20} "
+              f"{rates['parent']:<16} {rates['change']:<16} "
               f"{'same ' + first['digest'][:12] if len(digests) == 1 else 'DIFFER'}",
               flush=True)
     return 1 if mismatch else 0
