@@ -3,7 +3,8 @@
 Each closed form gives sigma of one family on its stated domain, and raises
 ValueError outside it.  A row of ``treepack table`` that is an instance of a
 closed form takes its catalogued value from that form.  ``treepack gen``
-builds a family and ``treepack table`` runs the rows.
+builds a family and ``treepack table`` runs the rows.  Each family writes its
+edges as (min, max) pairs in ascending order, which is how ``Graph`` holds them.
 """
 
 from __future__ import annotations
@@ -19,21 +20,21 @@ def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path requires n >= 1, got {n}")
     check_edge_count(n - 1)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError(f"cycle requires n >= 3, got {n}")
     check_edge_count(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete requires n >= 1, got {n}")
     check_edge_count(n * (n - 1) // 2)
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_multipartite(parts: int, size: int) -> Graph:
@@ -49,7 +50,7 @@ def complete_multipartite(parts: int, size: int) -> Graph:
     n = parts * size
     edges = [(a, b) for a in range(n) for b in range(a + 1, n)
              if a // size != b // size]
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def hypercube(dim: int) -> Graph:
@@ -61,7 +62,7 @@ def hypercube(dim: int) -> Graph:
     check_edge_count(dim << (dim - 1))
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def complete_minus_edge(n: int) -> Graph:
@@ -70,7 +71,7 @@ def complete_minus_edge(n: int) -> Graph:
         raise ParameterError(f"complete_minus_edge requires n >= 3, got {n}")
     check_edge_count(n * (n - 1) // 2 - 1)
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (n - 2, n - 1)]
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(edges))
 
 
 # CLI family name -> (constructor, parameter count)

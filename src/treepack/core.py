@@ -90,23 +90,6 @@ class Graph(NamedTuple):
     n: int
     edges: tuple[Edge, ...]
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
-        if n < 0:
-            raise ParameterError(f"vertex count must be >= 0, got {n}")
-        norm = []
-        for a, b in edges:
-            if a == b:
-                raise ParameterError(f"self-loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParameterError(f"edge ({a},{b}) out of range for n={n}")
-            norm.append(normalize_edge(a, b))
-        ordered = tuple(sorted(norm))
-        for e, f in zip(ordered, ordered[1:]):
-            if e == f:
-                raise ParameterError(f"duplicate edge {e}")
-        return cls(n, ordered)
-
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -78,7 +78,7 @@ def _build(kind: str, g: Graph, h: Graph) -> ProductGraph:
     in turn meets its fiber's u*n2 + v' for each H-neighbour v' > v, then,
     for each G-neighbour w > u ascending, w*n2 + v (cartesian) or all of
     fiber w (lex).  Each pair is (min, max) and unique by construction, so
-    there is no re-validation through Graph.from_edges."""
+    no second pass checks them, as with the catalogue's families."""
     _check_product(kind, g, h)
     n2 = h.n
     up_g, up_h = [[] for _ in range(g.n)], [[] for _ in range(n2)]

@@ -36,6 +36,15 @@ def as_tree(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted((a, b) if a < b else (b, a) for a, b in edges))
 
 
+def graph(n: int, pairs: Iterable[Edge]) -> Graph:
+    """The graph on 0..n-1 with these pairs, held as treepack holds edges:
+    (min, max), sorted, and asserted in range, loop-free and unique."""
+    edges = as_tree(pairs)
+    assert all(0 <= a < b < n for a, b in edges), edges
+    assert len(set(edges)) == len(edges), edges
+    return Graph(n, edges)
+
+
 def random_tree(rng: random.Random, n: int) -> tuple[Edge, ...]:
     """A random spanning tree of 0..n-1: each v >= 1 joins a random u < v."""
     return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
@@ -48,7 +57,7 @@ def random_connected(rng: random.Random, n: int) -> Graph:
               if (a, b) not in edges]
     rng.shuffle(others)
     edges.update(others[:rng.randint(0, len(others))])
-    return Graph.from_edges(n, sorted(edges))
+    return graph(n, edges)
 
 
 @st.composite
@@ -58,7 +67,7 @@ def connected_graphs(draw, min_n: int, max_n: int) -> Graph:
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-    return Graph.from_edges(n, sorted(set(tree) | set(extra)))
+    return graph(n, set(tree) | set(extra))
 
 
 @st.composite
@@ -69,7 +78,7 @@ def packings(draw, min_n: int, max_n: int) -> tuple[Graph, tuple]:
     The host adds a prefix of the unused pairs.  K1 gets 0-3 empty trees."""
     n = draw(st.integers(min_n, max_n))
     if n == 1:
-        return Graph.from_edges(1, ()), ((),) * draw(st.integers(0, 3))
+        return graph(1, ()), ((),) * draw(st.integers(0, 3))
     k = draw(st.integers(min(2, n // 2), max(1, n // 2)))
     pairs = draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n)]))
     trees = []
@@ -83,7 +92,7 @@ def packings(draw, min_n: int, max_n: int) -> tuple[Graph, tuple]:
         trees.append(tuple(sorted(tree)))
         pairs = [e for e in pairs if e not in tree]
     extra = pairs[:draw(st.integers(0, len(pairs)))]
-    return Graph.from_edges(n, sorted([e for t in trees for e in t] + extra)), tuple(trees)
+    return graph(n, [e for t in trees for e in t] + extra), tuple(trees)
 
 
 # The check each named mutation fails alone on a valid packing ("{}": its tree)

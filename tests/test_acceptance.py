@@ -21,10 +21,9 @@ from treepack import (
     verify_packing,
 )
 from treepack.cli import main as cli_main
-from treepack.core import Graph
 from treepack.products import cartesian
 
-from reference import tutte_bruteforce, verify_proposition_row
+from reference import graph, tutte_bruteforce, verify_proposition_row
 
 
 def _report(num: int, desc: str, fn) -> None:
@@ -234,7 +233,7 @@ def test_criterion_7_oracle_against_bruteforce():
                 if e not in edges:
                     edges.add(e)
                     extra -= 1
-            g = Graph.from_edges(n, sorted(edges))
+            g = graph(n, edges)
             result = max_packing(g)
             assert result.sigma == tutte_bruteforce(g).bound
             assert verify_packing(g, result.packing).overall

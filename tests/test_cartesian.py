@@ -11,6 +11,8 @@ from treepack.oracle import max_packing
 from treepack.products import cartesian
 from treepack.verify import verify_packing
 
+from reference import graph
+
 
 def spanning(g: Graph) -> tuple:
     return max_packing(g).packing.trees[0]
@@ -52,7 +54,7 @@ def test_default_assignment_counts():
 def test_plan_cross_edges_known_split():
     # the 7-vertex tree whose split keeps vertices {3,4,5,6}; over P3 fiber 1
     # keeps the subtree copy and fiber 2 the forest copy
-    host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
+    host = graph(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
     g = path(3)
     (backbone,) = pack_cartesian(
         g, host, TreePacking(g, (g.edges,)),

@@ -1,6 +1,6 @@
 import importlib
 import re
-from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,9 +14,10 @@ from treepack.cli import main
 from treepack.core import (MAX_EDGES, Graph, ParameterError, ParseError,
                            SizeError, normalize_edge, read_graph, write_graph,
                            ContractError, TreePacking, _read_lines, _read_written)
+from treepack.products import cartesian
 from treepack.verify import Check, VerificationReport, check_packing
 
-from reference import components
+from reference import components, graph
 
 
 def test_normalize_edge():
@@ -24,26 +25,8 @@ def test_normalize_edge():
     assert normalize_edge(1, 3) == (1, 3)
 
 
-def test_graph_from_edges_sorts_and_validates():
-    g = Graph.from_edges(4, [(2, 1), (0, 3), (0, 1)])
-    assert g.edges == ((0, 1), (0, 3), (1, 2))
-    assert g.m == 3
-    assert set(g.edges) == {(0, 1), (0, 3), (1, 2)}
-
-
-def test_graph_rejects_bad_edges():
-    with pytest.raises(ParameterError):
-        Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ParameterError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ParameterError):
-        Graph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(ParameterError):
-        Graph.from_edges(-1, [])
-
-
 def test_components_and_connectivity():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
+    g = graph(5, [(0, 1), (2, 3)])
     assert components(g.n, g.edges) == ((0, 1), (2, 3), (4,))
     assert not g.is_connected()
     assert path(6).is_connected()
@@ -51,20 +34,24 @@ def test_components_and_connectivity():
 
 
 def test_family_sizes():
-    assert (path(5).n, path(5).m) == (5, 4)
-    assert (cycle(5).n, cycle(5).m) == (5, 5)
-    assert (complete(6).n, complete(6).m) == (6, 15)
-    km = complete_multipartite(3, 2)
-    assert (km.n, km.m) == (6, 12)
-    # vertices in one part stay non-adjacent
-    assert (0, 1) not in km.edges and (0, 2) in km.edges
-    q = hypercube(3)
-    assert (q.n, q.m) == (8, 12)
-    # each vertex meets the 3 vertices one bit away
-    assert Counter(v for e in q.edges for v in e) == dict.fromkeys(range(8), 3)
-    assert all(bin(a ^ b).count("1") == 1 for a, b in q.edges)
-    km_e = complete_minus_edge(4)
-    assert km_e.m == 5 and (2, 3) not in km_e.edges
+    """Each family is its literal definition, edge order included."""
+    for n in (1, 2, 5, 8):
+        assert path(n) == graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert complete(n) == graph(n, combinations(range(n), 2))
+    for n in (3, 4, 5, 9):
+        assert cycle(n) == graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert complete_minus_edge(n) == graph(
+            n, [e for e in combinations(range(n), 2) if e != (n - 2, n - 1)])
+    for parts, size in ((2, 1), (3, 2), (2, 4), (4, 3)):
+        n = parts * size
+        assert complete_multipartite(parts, size) == graph(
+            n, [(a, b) for a, b in combinations(range(n), 2)
+                if a // size != b // size])
+    for dim in (1, 2, 3, 5):
+        n = 1 << dim
+        assert hypercube(dim) == graph(
+            n, [(a, b) for a, b in combinations(range(n), 2)
+                if (a ^ b).bit_count() == 1])
 
 
 def test_family_parameter_errors(capsys):
@@ -165,7 +152,9 @@ def test_generate_matches_direct_builders(capsys):
 
 
 def test_edge_list_round_trip():
-    for g in (path(4), cycle(5), complete(4), hypercube(3)):
+    # every maker: the six families and the product builder
+    for g in (path(4), cycle(5), complete(4), complete_multipartite(3, 2),
+              hypercube(3), complete_minus_edge(5), cartesian(cycle(4), path(3)).graph):
         text = write_graph(g, ["round trip"])
         back = read_graph(text)
         # the whole-text reader takes every text write_graph writes
@@ -273,7 +262,7 @@ def test_read_graph_fuzz_raises_only_parse_error(text):
         g = _read_both(text)
     except ParseError:
         return
-    assert Graph.from_edges(g.n, g.edges) == g
+    assert graph(g.n, g.edges) == g
 
 
 def test_read_graph_skips_comments_and_blanks():

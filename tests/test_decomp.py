@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from treepack.cartesian import leaf_split
 from treepack.catalogue import complete, cycle, path
-from treepack.core import Graph, normalize_edge, root_tree
+from treepack.core import normalize_edge, root_tree
 from treepack.products import cartesian, lexicographic
 
-from reference import (as_tree, components, is_one_cycle, leaf_split_by_scan,
-                       random_tree)
+from reference import (as_tree, components, graph, is_one_cycle,
+                       leaf_split_by_scan, random_tree)
 
 
 def _forest_components(n: int, sp) -> tuple:
@@ -56,7 +56,7 @@ def test_root_tree_and_leaf_split_on_random_spanning_trees(case):
 
 def test_leaf_split_known_seven_vertex_tree():
     # star-like tree whose deterministic split keeps {3,4,5,6}
-    host = Graph.from_edges(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
+    host = graph(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
     sp = leaf_split(host.n, host.edges)
     assert sp.subtree == ((3, 4), (3, 5), (3, 6))
     assert sp.subtree_vertices == frozenset({3, 4, 5, 6})
@@ -89,7 +89,7 @@ def test_leaf_split_invariants_random_trees():
     for _ in range(30):
         n = rng.randint(1, 12)
         edges = random_tree(rng, n)
-        host = Graph.from_edges(n, edges)
+        host = graph(n, edges)
         sp = leaf_split(n, host.edges)
         assert len(sp.subtree_vertices) == (n + 1) // 2
         assert len(sp.forest) == n // 2

@@ -18,6 +18,7 @@ import treepack
 from treepack import cli
 from treepack.catalogue import FAMILIES
 from treepack.cli import COMMANDS, main
+from treepack.products import CARTESIAN, LEXICOGRAPHIC
 
 SRC = Path(treepack.__file__).resolve().parents[1]
 
@@ -95,8 +96,14 @@ def test_each_handler_lives_in_the_module_commands_names():
     for command, (home, _, _) in COMMANDS.items():
         module = importlib.import_module(f"treepack.{home}")
         assert callable(getattr(module, f"cmd_{command}")), command
-    # the grammar spells the family names out, so parsing imports nothing
-    assert dict(COMMANDS["gen"][2])["family"]["choices"] == tuple(sorted(FAMILIES))
+
+
+def test_spelled_out_names_equal_their_homes():
+    """The grammar spells the family names and the product kinds out, so
+    parsing imports nothing; each list equals its home's, order included."""
+    assert cli.FAMILY_NAMES == tuple(sorted(FAMILIES))
+    assert dict(COMMANDS["gen"][2])["family"]["choices"] == cli.FAMILY_NAMES
+    assert dict(cli.FILES)["kind"]["choices"] == (CARTESIAN, LEXICOGRAPHIC)
 
 
 @pytest.mark.parametrize("argv", [["pack", "nosuch", "k4.graph", "c4.graph"],

@@ -18,7 +18,7 @@ from treepack.oracle import _ForestFamily, max_packing
 from treepack.products import cartesian, lexicographic
 from treepack.verify import verify_packing
 
-from reference import (components, connected_graphs, random_connected,
+from reference import (components, connected_graphs, graph, random_connected,
                        random_tree, reference_search, tutte_bruteforce)
 
 
@@ -63,7 +63,7 @@ def test_max_packing_rejects_bad_input():
     with pytest.raises(InputError):
         max_packing(path(1))
     with pytest.raises(InputError):
-        max_packing(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        max_packing(graph(4, [(0, 1), (2, 3)]))
 
 
 def test_corrupt_witness_raises_construction_error(monkeypatch):
@@ -187,7 +187,7 @@ def test_adding_edges_never_hurts():
         if not missing:
             continue
         extra = rng.choice(missing)
-        g2 = Graph.from_edges(n, list(g.edges) + [extra])
+        g2 = graph(n, [*g.edges, extra])
         assert max_packing(g2).sigma >= max_packing(g).sigma
 
 
@@ -239,7 +239,7 @@ def oracle_corpus() -> dict[str, Graph]:
     square = [(i, (i + d) % 600) for i in range(600) for d in (1, 2)]
     graphs.update({"P2000": path(2000), "C2000": cycle(2000),
                    "P300xP2": cartesian(path(300), path(2)).graph,
-                   "C600^2": Graph.from_edges(600, square)})        # sigma 2
+                   "C600^2": graph(600, square)})        # sigma 2
     rng = random.Random(2013)
     for i in range(100):
         graphs[f"R{i}"] = random_connected(rng, rng.randint(2, 40))
@@ -271,7 +271,7 @@ def sparse_packed(rng: random.Random, n: int, k: int) -> Graph:
                 break
     rest = [(a, b) for a in range(n) for b in range(a + 1, n)
             if (a, b) not in used]
-    return Graph.from_edges(n, sorted(used | set(rng.sample(rest, rng.randrange(n - 1)))))
+    return graph(n, used | set(rng.sample(rest, rng.randrange(n - 1))))
 
 
 def dense_connected(rng: random.Random, n: int) -> Graph:
@@ -281,7 +281,7 @@ def dense_connected(rng: random.Random, n: int) -> Graph:
     edges = set(random_tree(rng, n))
     edges.update((a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < keep)
-    return Graph.from_edges(n, sorted(edges))
+    return graph(n, edges)
 
 
 def oracle_digest(g: Graph) -> str:

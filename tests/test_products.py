@@ -10,7 +10,7 @@ from treepack.core import Graph, InputError, SizeError, read_graph, write_graph
 from treepack.products import (ProductGraph, cartesian, lexicographic,
                                write_product)
 
-from reference import connected_graphs, random_connected
+from reference import connected_graphs, graph, random_connected
 
 
 def test_cartesian_small():
@@ -100,7 +100,7 @@ def test_bundle_lex_only():
 
 
 def test_factors_must_be_connected():
-    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    disconnected = graph(4, [(0, 1), (2, 3)])
     with pytest.raises(InputError):
         cartesian(disconnected, path(2))
     with pytest.raises(InputError):
@@ -138,7 +138,7 @@ def test_product_size_is_checked_before_building():
 
 
 def _by_definition(make, g: Graph, h: Graph) -> Graph:
-    """The product from its definition, validated and sorted by Graph.from_edges:
+    """The product from its definition, validated and sorted by reference.graph:
     every fiber copy of h, then the rungs (cartesian) or whole bundles (lex)
     over every g-edge."""
     n2 = h.n
@@ -147,14 +147,14 @@ def _by_definition(make, g: Graph, h: Graph) -> Graph:
              if make is cartesian else
              [(a * n2 + x, b * n2 + y) for a, b in g.edges
               for x in range(n2) for y in range(n2)])
-    return Graph.from_edges(g.n * n2, fibers + cross)
+    return graph(g.n * n2, fibers + cross)
 
 
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(1, 7), connected_graphs(1, 7))
 def test_products_match_validated_construction(g, h):
-    """The products skip Graph.from_edges; it must agree on their edge lists."""
+    """The products' edge lists are their definitions, edge order included."""
     assert cartesian(g, h).graph == _by_definition(cartesian, g, h)
     assert lexicographic(g, h).graph == _by_definition(lexicographic, g, h)
-    for graph in (g, h, cartesian(g, h).graph):
-        assert read_graph(write_graph(graph)) == graph
+    for made in (g, h, cartesian(g, h).graph):
+        assert read_graph(write_graph(made)) == made
