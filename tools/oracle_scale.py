@@ -3,28 +3,23 @@
 
     python3 tools/oracle_scale.py PARENT CHANGE [--runs N]
 
-PARENT and CHANGE are two checkouts of this repository.  For each graph below
-and each run, one child per checkout builds the graph with that checkout's
-own ``treepack`` and times its first ``max_packing`` call; the side that runs
-first alternates from run to run.  Every child prints sigma, a digest of
-(sigma, trees, certificate) and the time.  stdout gets one line per graph:
-n, m, sigma, the oracle's work units m*floor(m/(n-1)) (what
-``core.MAX_ORACLE_WORK`` caps), each side's times, each side's microseconds
-per unit and whether every digest agreed.  The exit code is 1 if any digest
-differs between the sides or between runs.
-Uses the standard library only; K40xC40 alone takes 10-20 s per child.
+Runs the checkouts as ``tools/pairs.py`` does.  Per graph below and run, a
+child per side prints sigma, a digest of (sigma, trees, certificate) and the
+seconds of a cold ``max_packing``.  stdout gets n, m, sigma, the work units
+that ``core.MAX_ORACLE_WORK`` caps, each side's median microseconds per unit,
+``same DIGEST`` or ``DIFFER`` (exit 1), and pairs.py's claim on the seconds.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
-import os
-import subprocess
+import importlib.util
+import statistics
 import sys
 from pathlib import Path
 
-SIDES = ("parent", "change")
+_SPEC = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().with_name("pairs.py"))
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
 
 # name -> the expression that makes the graph from treepack's graph functions
 GRAPHS = {
@@ -57,13 +52,22 @@ print(json.dumps({"n": g.n, "m": g.m, "sigma": result.sigma, "seconds": seconds,
 
 def run_once(checkout: Path, expr: str) -> dict:
     """The record one child of `checkout` prints for the graph `expr` builds."""
-    done = subprocess.run([sys.executable, "-c", CHILD, expr], cwd=checkout,
-                          env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"{checkout}: {expr} exited with {done.returncode}\n"
-                 f"{done.stderr[-2000:]}")
-    return json.loads(done.stdout)
+    return pairs.launch(checkout, expr, "-c", CHILD, expr)
+
+
+def row(name: str, records: dict[str, list[dict]]) -> str:
+    """One graph's stdout line; its claim is ``-`` at one run, as quartiles need two."""
+    first = records["parent"][0]
+    units = first["m"] * (first["m"] // (first["n"] - 1))
+    times = {side: [r["seconds"] for r in records[side]] for side in pairs.SIDES}
+    claim = "-" if len(records["parent"]) < 2 else pairs.claim_columns(
+        pairs.verdict(times["parent"], times["change"], "lower"))
+    rates = " ".join(f"{statistics.median(times[side]) / units * 1e6:>9.2f}"
+                     for side in pairs.SIDES)
+    digests = {r["digest"] for side in pairs.SIDES for r in records[side]}
+    same = f"same {first['digest'][:12]}" if len(digests) == 1 else "DIFFER"
+    return (f"{name:<10} {first['n']:>5} {first['m']:>6} {first['sigma']:>5} "
+            f"{units:>9} {rates}  {same:<17} {claim}")
 
 
 def main() -> int:
@@ -74,37 +78,20 @@ def main() -> int:
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    paths = pairs.checkouts(args.parent, args.change)
 
-    print(f"{args.runs} runs per side, parent first in odd runs; cold "
-          "max_packing seconds")
-    print(f"{'graph':<10} {'n':>5} {'m':>6} {'sigma':>5} {'units':>9}  "
-          f"{'parent s':<20} {'change s':<20} {'parent us/unit':<16} "
-          f"{'change us/unit':<16} digest")
-    mismatch = False
+    print(f"{'graph':<10} {'n':>5} {'m':>6} {'sigma':>5} {'units':>9} "
+          f"{'parent us':>9} {'change us':>9}  {'digest':<17} {pairs.CLAIM_HEADER}")
+    differ = False
     for name, expr in GRAPHS.items():
-        records: dict[str, list[dict]] = {side: [] for side in SIDES}
+        records = {side: [] for side in pairs.SIDES}
         for i in range(args.runs):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                record = run_once(checkouts[side], expr)
-                records[side].append(record)
-                print(f"run {i + 1} {name} {side} {record['seconds']:.3f} s "
-                      f"sigma={record['sigma']} {record['digest'][:12]}",
-                      file=sys.stderr, flush=True)
-        digests = {r["digest"] for side in SIDES for r in records[side]}
-        mismatch |= len(digests) > 1
-        first = records["parent"][0]
-        units = first["m"] * (first["m"] // (first["n"] - 1))
-        times = {side: " ".join(f"{r['seconds']:.2f}" for r in records[side])
-                 for side in SIDES}
-        rates = {side: " ".join(f"{r['seconds'] / units * 1e6:.1f}"
-                                for r in records[side]) for side in SIDES}
-        print(f"{name:<10} {first['n']:>5} {first['m']:>6} {first['sigma']:>5} "
-              f"{units:>9}  {times['parent']:<20} {times['change']:<20} "
-              f"{rates['parent']:<16} {rates['change']:<16} "
-              f"{'same ' + first['digest'][:12] if len(digests) == 1 else 'DIFFER'}",
-              flush=True)
-    return 1 if mismatch else 0
+            for side in pairs.order(i):
+                records[side].append(run_once(paths[side], expr))
+        line = row(name, records)
+        differ |= " DIFFER " in line
+        print(line, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
