@@ -88,6 +88,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
 
     # the identity matching of the last G-tree, held back unless balanced
     reserved = None if plan.case == BALANCED else (k - 1, n2)
+    subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)
+            if (i, j) != reserved]
     # (min, max) copies of checked factor trees: verified_packing below is
     # their only check
     trees: list[list[Edge]] = []
@@ -95,8 +97,6 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
     if plan.case != G_RICH:
         # balanced pairs like H_RICH with x = ell: no section trees are left
         x = ell if plan.case == BALANCED else plan.x
-        subs = [(i, j) for i in range(k) for j in range(1, n2 + 1)
-                if (i, j) != reserved]
         fibers = [(t, s) for t in range(x) for s in range(n1)]
         for (i, j), (t, s) in zip(subs, fibers):
             trees.append(product.matching_copy(oriented[i], j)
@@ -117,10 +117,8 @@ def pack_lex(g: Graph, h: Graph, pack_g: TreePacking,
             for e in oriented[i]:
                 cycles.append(product.matching_copy([e], 2 * r - 1)
                               + product.matching_copy([e], 2 * r))
-        consumed = {(i, 2 * r - 1) for i, r in taken}
-        consumed.update((i, 2 * r) for i, r in taken)
-        singles = [(i, j) for i in range(k) for j in range(1, n2 + 1)
-                   if (i, j) != reserved and (i, j) not in consumed]
+        consumed = {(i, j) for i, r in taken for j in (2 * r - 1, 2 * r)}
+        singles = [s for s in subs if s not in consumed]
         # the breadth-first spanning tree of a single plus its cycle, a
         # connected union (tests/test_budgets.py)
         for (i, j), cyc in zip(singles, cycles):

@@ -1,8 +1,9 @@
 """The claim rule of ``tools/pairs.py``, which decides every performance claim:
-the change wins at least nine pairs in ten, ties counting for neither, and its
-median beats the parent's by more than the parent's interquartile range.  Also
-the harness that ``tools/oracle_scale.py`` shares with it: the refusal of a
-checkout holding compiled bytecode, and the per-graph summary line."""
+at least ten pairs, the change wins at least nine in ten, ties counting for
+neither, and its median beats the parent's by more than the parent's
+interquartile range.  Also the harness that ``tools/oracle_scale.py`` shares
+with it: the refusal of a checkout holding compiled bytecode, and the
+per-graph summary line."""
 
 import importlib.util
 import subprocess
@@ -57,6 +58,20 @@ def test_a_gap_inside_the_parent_iqr_does_not_hold():
     assert 0 < v["parent"] - v["change"] < v["iqr"] and not v["holds"]
 
 
+@pytest.mark.parametrize("parent, change", [
+    ([1.00, 1.01], [0.92, 0.93]),   # two close pairs once "held" on identical code
+    (PARENT[:9], FASTER[:9]),       # nine pairs, all won by a wide gap
+    ([1.0], [0.5]),                 # one pair has no quartiles
+], ids=["two-close", "nine-wide", "one"])
+def test_fewer_than_ten_pairs_claim_nothing(parent, change):
+    v = pairs.verdict(parent, change, "lower")
+    assert v["wins"] == len(parent) and v["holds"] is None
+    columns = pairs.claim_columns(v).split()
+    assert columns[:3] == [f"{len(parent)}/{len(parent)}", f"{v['parent']:.4f}",
+                           f"{v['change']:.4f}"]
+    assert columns[-2:] == ["-" if len(parent) == 1 else f"{v['iqr']:.4f}", "-"]
+
+
 def test_higher_is_better_flips_the_sign():
     slower = [p + 0.5 for p in PARENT]
     assert pairs.verdict(PARENT, slower, "higher")["holds"]
@@ -98,10 +113,12 @@ def _records(seconds, digest="d" * 64):
 
 
 def test_oracle_scale_row_at_one_run_prints_the_digest_and_no_claim():
-    # Q4: 32 edges on 16 vertices, 32 * (32 // 15) = 64 work units
+    # Q4: 32 edges on 16 vertices, 32 * (32 // 15) = 64 work units; one run
+    # has no quartiles, so no IQR and no claim
     records = {"parent": _records([0.5]), "change": _records([0.25])}
     assert oracle_scale.row("Q4", records).split() == [
-        "Q4", "16", "32", "2", "64", "7812.50", "3906.25", "same", "d" * 12, "-"]
+        "Q4", "16", "32", "2", "64", "7812.50", "3906.25", "same", "d" * 12,
+        "1/1", "0.5000", "0.2500", "-50.0%", "-", "-"]
 
 
 def test_oracle_scale_row_claims_by_the_pairs_rule():

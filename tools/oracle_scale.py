@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Cold exact-oracle times of two checkouts on product-scale graphs.
 
-    python3 tools/oracle_scale.py PARENT CHANGE [--runs N]
+    python3 tools/oracle_scale.py PARENT CHANGE [--runs 10]
 
 Runs the checkouts as ``tools/pairs.py`` does.  Per graph below and run, a
 child per side prints sigma, a digest of (sigma, trees, certificate) and the
 seconds of a cold ``max_packing``.  stdout gets n, m, sigma, the work units
 that ``core.MAX_ORACLE_WORK`` caps, each side's median microseconds per unit,
-``same DIGEST`` or ``DIFFER`` (exit 1), and pairs.py's claim on the seconds.
+``same DIGEST`` or ``DIFFER`` (exit 1), and pairs.py's claim on the seconds;
+``--runs 1`` is the quick digest check.
 """
 
 import argparse
 import importlib.util
-import statistics
 import sys
 from pathlib import Path
 
@@ -56,25 +56,23 @@ def run_once(checkout: Path, expr: str) -> dict:
 
 
 def row(name: str, records: dict[str, list[dict]]) -> str:
-    """One graph's stdout line; its claim is ``-`` at one run, as quartiles need two."""
+    """One graph's stdout line."""
     first = records["parent"][0]
     units = first["m"] * (first["m"] // (first["n"] - 1))
     times = {side: [r["seconds"] for r in records[side]] for side in pairs.SIDES}
-    claim = "-" if len(records["parent"]) < 2 else pairs.claim_columns(
-        pairs.verdict(times["parent"], times["change"], "lower"))
-    rates = " ".join(f"{statistics.median(times[side]) / units * 1e6:>9.2f}"
-                     for side in pairs.SIDES)
+    v = pairs.verdict(*times.values(), "lower")
+    rates = " ".join(f"{v[side] / units * 1e6:>9.2f}" for side in pairs.SIDES)
     digests = {r["digest"] for side in pairs.SIDES for r in records[side]}
     same = f"same {first['digest'][:12]}" if len(digests) == 1 else "DIFFER"
     return (f"{name:<10} {first['n']:>5} {first['m']:>6} {first['sigma']:>5} "
-            f"{units:>9} {rates}  {same:<17} {claim}")
+            f"{units:>9} {rates}  {same:<17} {pairs.claim_columns(v)}")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--runs", type=int, default=10)
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")

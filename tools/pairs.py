@@ -8,11 +8,10 @@ PARENT and CHANGE are two checkouts of this repository, refused if either
 holds a ``__pycache__`` under ``src/``.  Each pair runs ``perfbench/run.py
 --trace 0`` of both once per workload (from the change's BENCHMARK.json), the
 side that runs first alternating.  Per workload and end-to-end metric, stdout
-gets the pairs the change won (ties count for neither), both medians, the
-change in the median, the parent's interquartile range and the claim: it
-holds when the change wins at least nine pairs in ten and its median beats
-the parent's by more than that range.  ``tools/oracle_scale.py`` shares the
-refusal, launcher, side order and claim rule.  Standard library only.
+gets the pairs the change won, both medians, the change in the median, the
+parent's interquartile range and the claim of ``verdict``, the one claim rule
+that ``tools/oracle_scale.py`` shares with the refusal, launcher and side
+order.  Standard library only.
 """
 
 import argparse
@@ -60,22 +59,25 @@ def launch(checkout: Path, what: str, *args: str) -> dict:
 
 
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
-    """Wins, medians and the claim rule for one metric on one workload."""
-    sign = 1 if better == "lower" else -1
+    """Wins, medians, parent IQR and claim for one metric on one workload: it
+    holds at ten pairs or more if nine in ten were won, ties counting for
+    neither, and the median gap is above the IQR.  None: no claim below ten
+    pairs, no IQR below two."""
+    n, sign = len(parent), 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-    q1, _, q3 = statistics.quantiles(parent, n=4)
+    iqr = None if n < 2 else (q := statistics.quantiles(parent, n=4))[2] - q[0]
     pm, cm = statistics.median(parent), statistics.median(change)
-    gap = sign * (pm - cm)
-    return {"wins": wins, "pairs": len(parent), "parent": pm, "change": cm,
-            "iqr": q3 - q1, "relative": (cm - pm) / pm if pm else 0.0,
-            "holds": 10 * wins >= 9 * len(parent) and gap > q3 - q1}
+    return {"wins": wins, "pairs": n, "parent": pm, "change": cm, "iqr": iqr,
+            "relative": (cm - pm) / pm if pm else 0.0,
+            "holds": None if n < 10 else 10 * wins >= 9 * n and sign * (pm - cm) > iqr}
 
 
 def claim_columns(v: dict) -> str:
-    """A verdict under the columns of CLAIM_HEADER."""
+    """A verdict under the columns of CLAIM_HEADER, ``-`` where it has none."""
+    iqr = "-" if v["iqr"] is None else f"{v['iqr']:.4f}"
+    claim = {None: "-", True: "holds", False: "not met"}[v["holds"]]
     return (f"{v['wins']:>3}/{v['pairs']:<2} {v['parent']:>10.4f} "
-            f"{v['change']:>10.4f} {v['relative']:>+7.1%} {v['iqr']:>10.4f}  "
-            f"{'holds' if v['holds'] else 'not met'}")
+            f"{v['change']:>10.4f} {v['relative']:>+7.1%} {iqr:>10}  {claim}")
 
 
 def main() -> int:
@@ -87,8 +89,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json")
     parser.add_argument("--workload", action="append", help="default: every one")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     paths = checkouts(args.parent, args.change)
     bench = json.loads((paths["change"] / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
