@@ -10,31 +10,20 @@ completed with the copies and cross edges the backbone leaves unused.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
 from .core import Edge, Graph, InputError, TreePacking, normalize_edge, root_tree
 from .products import cartesian
 from .verify import check_packing, verified_packing
 
 
-class LeafSplit(NamedTuple):
-    """A spanning tree cut into a kept subtree and the deleted leaf forest.
+def leaf_split(n: int, tree: tuple[Edge, ...]
+               ) -> tuple[tuple[Edge, ...], tuple[int, ...], tuple[Edge, ...]]:
+    """Split a spanning tree of 0..n-1 into ``(subtree, kept, forest)`` by
+    deleting leaves, the smallest first, until ceil(n/2) vertices remain.
 
-    ``subtree_vertices`` has ceil(n/2) members.  Each forest component
-    touches the subtree in exactly one vertex, its attachment root.
-    """
-
-    subtree: tuple[Edge, ...]
-    subtree_vertices: frozenset[int]
-    forest: tuple[Edge, ...]
-
-
-def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
-    """Delete leaves of a spanning tree of 0..n-1 until ceil(n/2) vertices
-    remain.
-
-    Deterministic: each step removes the current leaf with the smallest
-    vertex index.
+    ``kept`` lists those vertices ascending and ``subtree`` is the tree's
+    edges among them; ``forest`` is the deleted edges, sorted, and each of
+    its components meets ``kept`` in one vertex, its attachment root.
     """
     target = (n + 1) // 2
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -56,7 +45,7 @@ def leaf_split(n: int, tree: tuple[Edge, ...]) -> LeafSplit:
             heapq.heappush(leaves, anchor)
     gone = set(deleted)
     subtree = tuple(e for e in tree if e not in gone)
-    return LeafSplit(subtree, frozenset(alive), tuple(sorted(deleted)))
+    return subtree, tuple(sorted(alive)), tuple(sorted(deleted))
 
 
 def cartesian_bound(k: int, ell: int) -> int:
@@ -84,7 +73,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     n2 = h.n
     tk = root_tree(g.n, pack_g.trees[-1])   # (parent, child), breadth-first
     t_ell = pack_h.trees[-1]
-    split = leaf_split(n2, t_ell)
+    subtree, kept, forest = leaf_split(n2, t_ell)
     # the first floor((n1-1)/2) child fibers, breadth-first, keep the split's
     # subtree copy; the rest, the odd fiber out included, keep its forest
     children = [child for _, child in tk]
@@ -95,7 +84,6 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     # roots sit there, the rest must be reached directly); a fiber keeping
     # the subtree copy needs one at every dropped vertex plus one at the
     # smallest kept vertex to anchor the subtree itself.
-    kept = sorted(split.subtree_vertices)
     forest_rungs = set(kept)
     subtree_rungs = set(range(n2)) - set(kept[1:])
     backbone = product.fiber_copy(t_ell, 0)   # the root fiber keeps all of t_ell
@@ -104,7 +92,7 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
         keeps_subtree = idx < cut
         used = subtree_rungs if keeps_subtree else forest_rungs
         backbone.extend(product.fiber_copy(
-            split.subtree if keeps_subtree else split.forest, child))
+            subtree if keeps_subtree else forest, child))
         rungs = product.matching_copy([(parent, child)], n2)
         backbone.extend(rungs[v] for v in used)
         leftover.append([rungs[v] for v in range(n2) if v not in used])
@@ -118,8 +106,8 @@ def pack_cartesian(g: Graph, h: Graph, pack_g: TreePacking,
     # their only check
     trees: list[list[Edge]] = []
     for i in range(k - 1):
-        edges = product.fiber_copy(split.subtree, free_subtree[i])
-        edges.extend(product.fiber_copy(split.forest, free_forest[i]))
+        edges = product.fiber_copy(subtree, free_subtree[i])
+        edges.extend(product.fiber_copy(forest, free_forest[i]))
         edges.extend(product.matching_copy(pack_g.trees[i], n2))   # every cross section
         trees.append(edges)
     for j in range(ell - 1):

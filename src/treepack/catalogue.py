@@ -10,7 +10,7 @@ edges as (min, max) pairs in ascending order, which is how ``Graph`` holds them.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Any, NamedTuple
+from typing import Any
 
 from .core import (Graph, ParameterError, SizeError, _graph_record, _write_out,
                    check_edge_count, write_graph)
@@ -124,46 +124,39 @@ def proposition_value(row: int, params: tuple[int, ...]) -> int:
     raise ValueError(f"row must be 1..7, got {row}")
 
 
-class TableRow(NamedTuple):
-    label: str
-    kind: str | None          # cartesian | lex | None (plain graph)
-    g: Graph
-    h: Graph | None
-    closed: int | None        # catalogued exact value, if any
-    expect_tight: bool
-
-
-def table_rows() -> list[TableRow]:
-    """The rows of ``treepack table``, in output order."""
+def table_rows() -> list[tuple]:
+    """The rows of ``treepack table`` in output order, as tuples (label, kind,
+    G, H, closed, expect_tight): kind None is a plain graph G with H None,
+    closed the catalogued sigma or None, expect_tight that bound = sigma."""
     from .products import CARTESIAN, LEXICOGRAPHIC   # here, so gen loads no products
     return [
-        TableRow("P3 x P3", CARTESIAN, path(3), path(3), 1, True),
-        TableRow("P4 x P4", CARTESIAN, path(4), path(4), 1, True),
-        TableRow("P5 x P5", CARTESIAN, path(5), path(5), 1, True),
-        TableRow("K4 x C3", CARTESIAN, complete(4), cycle(3),
-                 proposition_value(1, (4, 3)), True),
-        TableRow("K4 x C4", CARTESIAN, complete(4), cycle(4),
-                 proposition_value(1, (4, 4)), True),
-        TableRow("K4 x C5", CARTESIAN, complete(4), cycle(5),
-                 proposition_value(1, (4, 5)), True),
-        TableRow("K5 x C4", CARTESIAN, complete(5), cycle(4),
-                 proposition_value(1, (5, 4)), False),
-        TableRow("K4 x K4", CARTESIAN, complete(4), complete(4),
-                 proposition_value(2, (4, 4)), True),
-        TableRow("K4 x K6", CARTESIAN, complete(4), complete(6),
-                 proposition_value(2, (4, 6)), True),
+        ("P3 x P3", CARTESIAN, path(3), path(3), 1, True),
+        ("P4 x P4", CARTESIAN, path(4), path(4), 1, True),
+        ("P5 x P5", CARTESIAN, path(5), path(5), 1, True),
+        ("K4 x C3", CARTESIAN, complete(4), cycle(3),
+         proposition_value(1, (4, 3)), True),
+        ("K4 x C4", CARTESIAN, complete(4), cycle(4),
+         proposition_value(1, (4, 4)), True),
+        ("K4 x C5", CARTESIAN, complete(4), cycle(5),
+         proposition_value(1, (4, 5)), True),
+        ("K5 x C4", CARTESIAN, complete(5), cycle(4),
+         proposition_value(1, (5, 4)), False),
+        ("K4 x K4", CARTESIAN, complete(4), complete(4),
+         proposition_value(2, (4, 4)), True),
+        ("K4 x K6", CARTESIAN, complete(4), complete(6),
+         proposition_value(2, (4, 6)), True),
         # Q3 x P2 is Q4 and Q4 x P2 is Q5
-        TableRow("Q3 x P2", CARTESIAN, hypercube(3), path(2),
-                 proposition_value(3, (4,)), False),
-        TableRow("Q4 x P2", CARTESIAN, hypercube(4), path(2),
-                 proposition_value(3, (5,)), True),
-        TableRow("K2(2) x K3", CARTESIAN, complete_multipartite(2, 2), complete(3),
-                 proposition_value(4, (2, 2, 3)), False),
-        TableRow("K3(2)", None, complete_multipartite(3, 2), None,
-                 proposition_value(7, (3, 2)), False),
-        TableRow("K2 o K2", LEXICOGRAPHIC, complete(2), complete(2), 2, True),
-        TableRow("P3 o K4", LEXICOGRAPHIC, path(3), complete(4), 4, True),
-        TableRow("K5 o P3", LEXICOGRAPHIC, complete(5), path(3), None, False),
+        ("Q3 x P2", CARTESIAN, hypercube(3), path(2),
+         proposition_value(3, (4,)), False),
+        ("Q4 x P2", CARTESIAN, hypercube(4), path(2),
+         proposition_value(3, (5,)), True),
+        ("K2(2) x K3", CARTESIAN, complete_multipartite(2, 2), complete(3),
+         proposition_value(4, (2, 2, 3)), False),
+        ("K3(2)", None, complete_multipartite(3, 2), None,
+         proposition_value(7, (3, 2)), False),
+        ("K2 o K2", LEXICOGRAPHIC, complete(2), complete(2), 2, True),
+        ("P3 o K4", LEXICOGRAPHIC, path(3), complete(4), 4, True),
+        ("K5 o P3", LEXICOGRAPHIC, complete(5), path(3), None, False),
     ]
 
 
@@ -180,26 +173,27 @@ def cmd_gen(args: SimpleNamespace) -> tuple[str | None, Any, dict, None]:
             {"n": g.n, "m": g.m, "out": args.out}, None)
 
 
-def _run_table_row(row: TableRow) -> dict[str, Any]:
+def _run_table_row(row: tuple) -> dict[str, Any]:
     from .oracle import max_packing
     from .products import _pack
-    if row.kind is None:
-        host = row.g
+    label, kind, g, h, closed, expect_tight = row
+    if kind is None:
+        host = g
         bound = None
         verified = None
     else:
-        packed = _pack(row.kind, row.g, row.h)
+        packed = _pack(kind, g, h)
         host = packed.host
         bound = len(packed.trees)
         verified = True  # _pack verifies, as in cmd_pack
     sigma = max_packing(host).sigma
 
     failures = []
-    if row.closed is not None and sigma != row.closed:
-        failures.append(f"oracle {sigma} != closed form {row.closed}")
+    if closed is not None and sigma != closed:
+        failures.append(f"oracle {sigma} != closed form {closed}")
     if bound is not None and bound > sigma:
         failures.append(f"bound {bound} exceeds oracle {sigma}")
-    if row.expect_tight and bound != sigma:
+    if expect_tight and bound != sigma:
         failures.append(f"expected tight, bound {bound} != oracle {sigma}")
 
     if bound is None:
@@ -209,8 +203,8 @@ def _run_table_row(row: TableRow) -> dict[str, Any]:
     else:
         note = "bound<sigma" if bound < sigma else "bound>sigma"
     return {
-        "graph": row.label,
-        "closed": row.closed,
+        "graph": label,
+        "closed": closed,
         "bound": bound,
         "sigma": sigma,
         "verified": verified,

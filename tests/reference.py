@@ -187,9 +187,9 @@ def is_one_cycle(edges: list[Edge], length: int) -> bool:
 
 
 def leaf_split_by_scan(n: int, tree: Iterable[Edge]
-                       ) -> tuple[tuple[Edge, ...], frozenset[int], tuple[Edge, ...]]:
-    """(subtree, subtree vertices, forest) of ``cartesian.leaf_split``'s rule,
-    each step scanning every alive vertex for the smallest leaf."""
+                       ) -> tuple[tuple[Edge, ...], tuple[int, ...], tuple[Edge, ...]]:
+    """(subtree, kept, forest) of ``cartesian.leaf_split``'s rule, kept
+    ascending, each step scanning every alive vertex for the smallest leaf."""
     tree = as_tree(tree)
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for a, b in tree:
@@ -204,7 +204,7 @@ def leaf_split_by_scan(n: int, tree: Iterable[Edge]
         adj[anchor].discard(leaf)
         alive.remove(leaf)
     subtree = tuple(e for e in tree if e not in deleted)
-    return subtree, frozenset(alive), tuple(sorted(deleted))
+    return subtree, tuple(sorted(alive)), tuple(sorted(deleted))
 
 
 def path_in(family: _ForestFamily, i: int, a: int, b: int) -> list[Edge] | None:

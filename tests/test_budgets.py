@@ -84,7 +84,7 @@ def test_cartesian_leftover_rungs_lemma():
         trees = {tuple((v, v + 1) for v in range(n2 - 1)),
                  tuple((0, v) for v in range(1, n2)), random_tree(rng, n2)}
         for tree in trees:
-            kept = sorted(leaf_split(n2, tree).subtree_vertices)
+            _, kept, _ = leaf_split(n2, tree)
             assert len(kept) == (n2 + 1) // 2
             forest_rungs = set(kept)
             subtree_rungs = set(range(n2)) - set(kept[1:])

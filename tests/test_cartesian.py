@@ -45,10 +45,10 @@ def test_default_assignment_counts():
     pg, ph = max_packing(g).packing, max_packing(h).packing
     backbone = pack_cartesian(g, h, pg, ph).trees[-1]
     tk = root_tree(g.n, pg.trees[-1])
-    split = leaf_split(h.n, ph.trees[-1])
+    subtree, _, forest = leaf_split(h.n, ph.trees[-1])
     assert _fiber_part(backbone, 0, h.n) == set(ph.trees[-1])
     parts = [_fiber_part(backbone, f, h.n) for _, f in tk]
-    assert parts == [set(split.subtree)] * 2 + [set(split.forest)] * 3
+    assert parts == [set(subtree)] * 2 + [set(forest)] * 3
 
 
 def test_plan_cross_edges_known_split():

@@ -498,7 +498,7 @@ def _one_failing_table_row(monkeypatch):
     """Every catalogue row passes, so a row with a wrong closed form is the
     only way to run the failure branch: K4 packs 2 trees, not 5."""
     from treepack import catalogue
-    row = catalogue.TableRow("K4", None, catalogue.complete(4), None, 5, False)
+    row = ("K4", None, catalogue.complete(4), None, 5, False)
     monkeypatch.setattr(catalogue, "table_rows", lambda: [row])
 
 
@@ -510,10 +510,10 @@ def test_table_reports_a_failing_row(capsys, monkeypatch):
     from treepack import catalogue, oracle
     from treepack.products import CARTESIAN
     rows = catalogue.table_rows() + [
-        catalogue.TableRow("K5 x C4", CARTESIAN, catalogue.complete(5),
-                           catalogue.cycle(4), None, True),
-        catalogue.TableRow("K4 x K4", CARTESIAN, catalogue.complete(4),
-                           catalogue.complete(4), None, False)]
+        ("K5 x C4", CARTESIAN, catalogue.complete(5), catalogue.cycle(4),
+         None, True),
+        ("K4 x K4", CARTESIAN, catalogue.complete(4), catalogue.complete(4),
+         None, False)]
     monkeypatch.setattr(catalogue, "table_rows", lambda: rows)
     exact = oracle.max_packing
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from itertools import combinations
@@ -114,6 +115,19 @@ def test_every_exported_name_is_used():
         word = re.compile(rf"\b{name}\b")
         users = [m for m, text in modules.items() if m != home and word.search(text)]
         assert users or word.search(readme), name
+
+
+def test_every_named_tuple_is_exported():
+    """A NamedTuple in src/ is a public result type; private helpers return
+    plain tuples."""
+    src = Path(treepack.__file__).parent
+    named = [node.name for p in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(ast.unparse(base).rpartition(".")[2] == "NamedTuple"
+                     for base in node.bases)]
+    assert [name for name in named if name not in treepack.__all__] == []
+    assert "Graph" in named   # the scan sees NamedTuple bases
 
 
 def test_star_import_binds_each_name_to_its_home_object():

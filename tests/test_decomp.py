@@ -16,14 +16,14 @@ from reference import (as_tree, components, graph, is_one_cycle,
                        leaf_split_by_scan, random_tree)
 
 
-def _forest_components(n: int, sp) -> tuple:
+def _forest_components(n: int, forest) -> tuple:
     """Vertex sets of a leaf split's forest components (no singletons)."""
-    return tuple(c for c in components(n, sp.forest) if len(c) > 1)
+    return tuple(c for c in components(n, forest) if len(c) > 1)
 
 
-def _forest_vertices(sp) -> frozenset:
+def _forest_vertices(forest) -> frozenset:
     """Endpoints of the edges a leaf split deleted."""
-    return frozenset(v for e in sp.forest for v in e)
+    return frozenset(v for e in forest for v in e)
 
 
 def test_root_tree_orders_breadth_first():
@@ -50,38 +50,39 @@ def test_root_tree_and_leaf_split_on_random_spanning_trees(case):
     assert len(rooted) == n - 1
     assert sorted(child for _, child in rooted) == list(range(1, n))
     assert as_tree(rooted) == tree
-    assert len(leaf_split(n, tree).subtree_vertices) == (n + 1) // 2
+    _, kept, _ = leaf_split(n, tree)
+    assert len(kept) == (n + 1) // 2
     assert leaf_split(n, tree) == leaf_split_by_scan(n, tree)
 
 
 def test_leaf_split_known_seven_vertex_tree():
     # star-like tree whose deterministic split keeps {3,4,5,6}
     host = graph(7, [(0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (3, 6)])
-    sp = leaf_split(host.n, host.edges)
-    assert sp.subtree == ((3, 4), (3, 5), (3, 6))
-    assert sp.subtree_vertices == frozenset({3, 4, 5, 6})
-    assert sp.forest == ((0, 3), (1, 5), (2, 5))
-    assert _forest_vertices(sp) == frozenset({0, 1, 2, 3, 5})
+    subtree, kept, forest = leaf_split(host.n, host.edges)
+    assert subtree == ((3, 4), (3, 5), (3, 6))
+    assert kept == (3, 4, 5, 6)
+    assert forest == ((0, 3), (1, 5), (2, 5))
+    assert _forest_vertices(forest) == frozenset({0, 1, 2, 3, 5})
     # attachment roots: kept vertices the forest touches
-    assert sp.subtree_vertices & _forest_vertices(sp) == frozenset({3, 5})
-    assert _forest_components(host.n, sp) == ((0, 3), (1, 2, 5))
+    assert set(kept) & _forest_vertices(forest) == {3, 5}
+    assert _forest_components(host.n, forest) == ((0, 3), (1, 2, 5))
 
 
 def test_leaf_split_path_and_single_edge():
     p4 = path(4)
-    sp = leaf_split(p4.n, p4.edges)
-    assert sp.subtree_vertices == frozenset({2, 3})
-    assert sp.forest == ((0, 1), (1, 2))
+    _, kept, forest = leaf_split(p4.n, p4.edges)
+    assert kept == (2, 3)
+    assert forest == ((0, 1), (1, 2))
 
     p2 = path(2)
-    sp2 = leaf_split(p2.n, p2.edges)
-    assert sp2.subtree_vertices == frozenset({1})
-    assert sp2.subtree == ()
-    assert sp2.forest == ((0, 1),)
+    subtree2, kept2, forest2 = leaf_split(p2.n, p2.edges)
+    assert kept2 == (1,)
+    assert subtree2 == ()
+    assert forest2 == ((0, 1),)
 
-    sp3 = leaf_split(1, ())
-    assert sp3.subtree_vertices == frozenset({0})
-    assert sp3.forest == ()
+    _, kept3, forest3 = leaf_split(1, ())
+    assert kept3 == (0,)
+    assert forest3 == ()
 
 
 def test_leaf_split_invariants_random_trees():
@@ -90,19 +91,20 @@ def test_leaf_split_invariants_random_trees():
         n = rng.randint(1, 12)
         edges = random_tree(rng, n)
         host = graph(n, edges)
-        sp = leaf_split(n, host.edges)
-        assert len(sp.subtree_vertices) == (n + 1) // 2
-        assert len(sp.forest) == n // 2
-        assert set(sp.subtree) | set(sp.forest) == set(edges)
-        assert not set(sp.subtree) & set(sp.forest)
+        subtree, kept, forest = leaf_split(n, host.edges)
+        assert len(kept) == (n + 1) // 2
+        assert list(kept) == sorted(kept)
+        assert len(forest) == n // 2
+        assert set(subtree) | set(forest) == set(edges)
+        assert not set(subtree) & set(forest)
         # kept part is a tree on its vertex set
-        assert len(sp.subtree) == len(sp.subtree_vertices) - 1
+        assert len(subtree) == len(kept) - 1
         # each forest component holds exactly one kept vertex
-        for comp in _forest_components(n, sp):
-            assert len(set(comp) & sp.subtree_vertices) == 1
+        for comp in _forest_components(n, forest):
+            assert len(set(comp) & set(kept)) == 1
         # dropped vertices all appear in the forest
-        dropped = set(range(n)) - sp.subtree_vertices
-        assert dropped <= _forest_vertices(sp)
+        dropped = set(range(n)) - set(kept)
+        assert dropped <= _forest_vertices(forest)
 
 
 def _bundle(p, u: int, w: int) -> set:
@@ -220,4 +222,5 @@ def test_extract_spanning_tree():
     # a spanning tree comes back unchanged, and edge order does not matter
     assert extract(c4.n, ext) == ext
     assert extract(c4.n, [(2, 3), (1, 2), (0, 3), (0, 1)]) == ext
-    assert leaf_split(c4.n, ext).subtree_vertices == frozenset({0, 3})
+    _, kept, _ = leaf_split(c4.n, ext)
+    assert kept == (0, 3)
